@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,7 +52,7 @@ from .scalars import (
     parse_scalar,
     to_float,
 )
-from .sweeps import P_GRID, SWEEPS, grid_description
+from .sweeps import M_MAX, P_GRID, SWEEPS, grid_description
 
 SPEC_VERSION = __version__
 
@@ -65,8 +64,6 @@ VERIFY_IDENTITIES = (
     "matrix",
 )
 SAMPLE_TARGETS = ("inner-product", "matrix", "chi-merge")
-
-THREADS_ENV = "GH_KERNEL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -122,19 +119,6 @@ def _parse_real(text: str, mode: str = FLOAT) -> float:
     if not value.is_real():
         raise ValueError(f"expected a real number, got {text!r}")
     return float(value.re)
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1")
-    return value
 
 
 def _report_row(report: IdentityReport) -> dict[str, object]:
@@ -218,7 +202,7 @@ def _graczyk_point_reports(
             for p in P_GRID
         ]
     reports = []
-    for big_m in range(7):
+    for big_m in range(M_MAX + 1):
         for p in p_values:
             reports.append(graczyk_identity(big_m, xv, yv, p, config.tolerance))
     return reports
@@ -239,7 +223,6 @@ def _verify_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _verify_config(args)
-    max_workers = _threads_from_env()
 
     explicit_point = args.xv is not None or args.yv is not None
     if explicit_point:
@@ -252,9 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "explicit_point": {"xv": args.xv, "yv": args.yv, "p": args.p or "default grid"}
         }
     else:
-        reports = SWEEPS[args.identity](
-            mode=config.mode, tolerance=config.tolerance, max_workers=max_workers
-        )
+        reports = SWEEPS[args.identity](mode=config.mode, tolerance=config.tolerance)
         grid = grid_description(args.identity)
 
     rows = [_report_row(r) for r in reports]

@@ -7,15 +7,28 @@ g_m(x, p) is the gap-2 polynomial family
 equal to the shifted Gaussian moment E (x + sigma N)^m with sigma^2 = 2p.
 Three independent evaluation routes are provided (direct sum, three-term
 recurrence, moment expansion); in exact mode they must agree to the bit.
+
+Exact mode runs the recurrence on plain ints.  Homogeneity,
+
+    g_m(lam x, lam^2 p) = lam^m g_m(x, p),
+
+moves every denominator of x and p into one power of lam: with lam a common
+denominator, X = lam x and P = lam^2 p are Gaussian integers, the row
+G_k = g_k(X, P) is built with int arithmetic only, and g_k(x, p) = G_k / lam^k
+is divided out once, at the end.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .multiindex import MultiIndex
-from .scalars import ModeMismatchError, Scalar, lift, one, zero
+from .scalars import EXACT, ModeMismatchError, Scalar, lift, one, zero
+
+# A Gaussian integer a + b i as the int pair (a, b).
+GaussianInt = tuple[int, int]
 
 
 def _common_mode(x: Scalar, p: Scalar) -> str:
@@ -38,10 +51,18 @@ def gh_eval(m: int, x: Scalar, p: Scalar) -> Scalar:
 
 
 def gh_eval_recurrence(m: int, x: Scalar, p: Scalar) -> Scalar:
-    """Three-term path: g_0 = 1, g_1 = x, g_{m+1} = x g_m + 2p m g_{m-1}."""
+    """Three-term path: g_0 = 1, g_1 = x, g_{m+1} = x g_m + 2p m g_{m-1}.
+
+    Exact mode runs it on Gaussian integers (gaussian_row) and divides once.
+    """
     if m < 0:
         raise ValueError("degree must be a natural number")
     mode = _common_mode(x, p)
+    if mode == EXACT:
+        lam = clearing_scale(x, p)
+        row = gaussian_row(m, scale_to_gaussian(x, lam), scale_to_gaussian(p, lam * lam))
+        re, im = row[m]
+        return from_gaussian(re, im, lam**m)
     if m == 0:
         return one(mode)
     two_p = lift(2, mode) * p
@@ -49,6 +70,53 @@ def gh_eval_recurrence(m: int, x: Scalar, p: Scalar) -> Scalar:
     for degree in range(1, m):
         prev, cur = cur, x * cur + two_p * lift(degree, mode) * prev
     return cur
+
+
+def clearing_scale(*values: Scalar) -> int:
+    """Least lam > 0 such that lam * v is a Gaussian integer for every value.
+
+    Exact mode only: a float scalar raises ModeMismatchError.
+    """
+    dens = []
+    for v in values:
+        if v.mode != EXACT:
+            raise ModeMismatchError("the integer kernel needs exact-mode scalars")
+        dens.append(v.re.denominator)
+        dens.append(v.im.denominator)
+    return math.lcm(*dens)
+
+
+def scale_to_gaussian(v: Scalar, lam: int) -> GaussianInt:
+    """lam * v as a Gaussian integer; lam must clear v's denominators."""
+    if v.mode != EXACT:
+        raise ModeMismatchError("the integer kernel needs exact-mode scalars")
+    re_q, re_r = divmod(lam, v.re.denominator)
+    im_q, im_r = divmod(lam, v.im.denominator)
+    if re_r or im_r:
+        raise ValueError(f"{lam} does not clear the denominators of {v}")
+    return v.re.numerator * re_q, v.im.numerator * im_q
+
+
+def from_gaussian(re: int, im: int, den: int) -> Scalar:
+    """The exact scalar (re + im i) / den, reduced."""
+    return Scalar(EXACT, Fraction(re, den), Fraction(im, den))
+
+
+def gaussian_row(m_max: int, x: GaussianInt, p: GaussianInt) -> list[GaussianInt]:
+    """g_0(x, p) .. g_{m_max}(x, p) at Gaussian integers, in one pass of
+    g_{k+1} = x g_k + 2p k g_{k-1} on int pairs."""
+    if m_max < 0:
+        raise ValueError("degree must be a natural number")
+    xr, xi = x
+    pr, pi = 2 * p[0], 2 * p[1]
+    row = [(1, 0), (xr, xi)]
+    ar, ai, br, bi = 1, 0, xr, xi
+    for k in range(1, m_max):
+        qr, qi = k * ar, k * ai
+        ar, ai = br, bi
+        br, bi = xr * br - xi * bi + pr * qr - pi * qi, xr * bi + xi * br + pr * qi + pi * qr
+        row.append((br, bi))
+    return row[: m_max + 1]
 
 
 def gh_multi_eval(m: MultiIndex, xs: Sequence[Scalar], p: Scalar) -> Scalar:

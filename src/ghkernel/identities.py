@@ -5,6 +5,11 @@ independent code paths and wraps them in an :class:`IdentityReport`.  In
 exact mode a report passes only with a literally zero residual; in float
 mode it passes when the relative residual stays under the caller's
 tolerance.  Nothing in this module is randomized.
+
+In exact mode each sum-rule side is evaluated over Gaussian integers: the
+inputs are scaled to a common denominator, every term is accumulated as an
+int pair (see ``ghpoly.gaussian_row``), and the side becomes a Scalar once,
+by a single division at its end.  Float mode runs the Scalar code.
 """
 
 from __future__ import annotations
@@ -13,6 +18,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .ghpoly import (
+    GaussianInt,
+    clearing_scale,
+    from_gaussian,
+    gaussian_row,
+    scale_to_gaussian,
+)
 
 # The recurrence path is the numerically accurate float evaluator (the
 # direct sum cancels catastrophically in the oscillatory regime); in exact
@@ -156,6 +169,34 @@ def _check_rectangular(a: Matrix) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Gaussian-integer helpers for the exact sides
+
+
+def _gmul(u: GaussianInt, v: GaussianInt) -> GaussianInt:
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _gpowers(base: GaussianInt, top: int) -> list[GaussianInt]:
+    """base^0 .. base^top."""
+    out = [(1, 0)]
+    for _ in range(top):
+        out.append(_gmul(out[-1], base))
+    return out
+
+
+def _multinomial_sum(total: int, tables: Sequence[Sequence[GaussianInt]]) -> GaussianInt:
+    """sum over |m| = total of total!/m! * prod_j tables[j][m_j]."""
+    re = im = 0
+    for m in compositions(total, len(tables)):
+        term = (multinomial(total, m), 0)
+        for table, mj in zip(tables, m):
+            term = _gmul(term, table[mj])
+        re += term[0]
+        im += term[1]
+    return re, im
+
+
+# ---------------------------------------------------------------------------
 # polarization
 
 
@@ -219,6 +260,8 @@ def graczyk_lhs(M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Scalar) -
     if len(xv) != len(yv):
         raise ValueError("dimension mismatch")
     mode = p.mode
+    if mode == EXACT:
+        return _graczyk_lhs_exact(M, xv, yv, p)
     table_x = _gh_table(M, xv, p)
     table_y = _gh_table(M, yv, p)
     total = zero(mode)
@@ -230,11 +273,27 @@ def graczyk_lhs(M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Scalar) -
     return total
 
 
+def _graczyk_lhs_exact(M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Scalar) -> Scalar:
+    # With lam clearing xv, yv and p, each term g_m(xv) g_m(yv) is an
+    # integer over lam^(2M); scaling by M! turns 1/m! into M!/m!.
+    lam = clearing_scale(*xv, *yv, p)
+    p_int = scale_to_gaussian(p, lam * lam)
+    tables = []
+    for xc, yc in zip(xv, yv):
+        row_x = gaussian_row(M, scale_to_gaussian(xc, lam), p_int)
+        row_y = gaussian_row(M, scale_to_gaussian(yc, lam), p_int)
+        tables.append([_gmul(gx, gy) for gx, gy in zip(row_x, row_y)])
+    re, im = _multinomial_sum(M, tables)
+    return from_gaussian(re, im, math.factorial(M) * lam ** (2 * M))
+
+
 def graczyk_rhs(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Scalar:
     """sum_j (2p)^(2j) / (j!(M-2j)!) ((n-1)/2)_j g_{M-2j}(x,p) g_{M-2j}(y,p)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     mode = p.mode
+    if mode == EXACT:
+        return _graczyk_rhs_exact(M, pair, n, p)
     half_dof = lift(Fraction(n - 1, 2), mode)
     two_p = lift(2, mode) * p
     total = zero(mode)
@@ -245,6 +304,30 @@ def graczyk_rhs(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Scalar:
             M - 2 * j, pair.y, p
         )
     return total
+
+
+def _graczyk_rhs_exact(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Scalar:
+    # With P = lam^2 p, (2p)^(2j) ((n-1)/2)_j is 2^j P^(2j) (n-1)(n+1)...(n+2j-3)
+    # over lam^(4j), and g_{M-2j}(x) g_{M-2j}(y) carries lam^(2M-4j): every
+    # term is an integer over lam^(2M), and M!/(j!(M-2j)!) is an integer.
+    lam = clearing_scale(pair.x, pair.y, p)
+    p_int = scale_to_gaussian(p, lam * lam)
+    row_x = gaussian_row(M, scale_to_gaussian(pair.x, lam), p_int)
+    row_y = gaussian_row(M, scale_to_gaussian(pair.y, lam), p_int)
+    p_sq = _gmul(p_int, p_int)
+    two_p_sq = (2 * p_sq[0], 2 * p_sq[1])
+    m_fact = math.factorial(M)
+    weight = (1, 0)
+    re = im = 0
+    for j in range(M // 2 + 1):
+        d = M - 2 * j
+        coeff = m_fact // (math.factorial(j) * math.factorial(d))
+        term = _gmul(weight, _gmul(row_x[d], row_y[d]))
+        re += coeff * term[0]
+        im += coeff * term[1]
+        weight = _gmul(weight, two_p_sq)
+        weight = (weight[0] * (n - 1 + 2 * j), weight[1] * (n - 1 + 2 * j))
+    return from_gaussian(re, im, m_fact * lam ** (2 * M))
 
 
 def graczyk_identity(
@@ -392,16 +475,19 @@ def rotation_sumrule(
     if not (0 <= i < n):
         raise IndexError("row index out of range")
     mode = p.mode
-    rotated = mat_vec(o, xv)
-    lhs = _gh(m, rotated[i], p)
-    table = _gh_table(m, xv, p)
-    powers = [[o[i][j] ** d for d in range(m + 1)] for j in range(n)]
-    rhs = zero(mode)
-    for mi in compositions(m, n):
-        term = lift(multinomial(m, mi), mode)
-        for j, mj in enumerate(mi):
-            term = term * powers[j][mj] * table[j][mj]
-        rhs = rhs + term
+    if mode == EXACT:
+        lhs, rhs = _rotation_sides_exact(m, o, i, xv, p)
+    else:
+        rotated = mat_vec(o, xv)
+        lhs = _gh(m, rotated[i], p)
+        table = _gh_table(m, xv, p)
+        powers = [[o[i][j] ** d for d in range(m + 1)] for j in range(n)]
+        rhs = zero(mode)
+        for mi in compositions(m, n):
+            term = lift(multinomial(m, mi), mode)
+            for j, mj in enumerate(mi):
+                term = term * powers[j][mj] * table[j][mj]
+            rhs = rhs + term
     params = {
         "m": str(m),
         "n": str(n),
@@ -411,6 +497,34 @@ def rotation_sumrule(
         "rotation": label if label is not None else _fmt_matrix(o),
     }
     return make_report("rotation", params, lhs, rhs, tolerance)
+
+
+def _rotation_sides_exact(
+    m: int, o: Matrix, i: int, xv: Sequence[Scalar], p: Scalar
+) -> tuple[Scalar, Scalar]:
+    # With O = W / den_o and xv = X / lam, (O xv)_i is an integer over
+    # den_o lam, and each term prod_j O_ij^(m_j) g_(m_j)(x_j, p) an integer
+    # over (den_o lam)^m: both sides share that denominator.
+    if any(len(row) != len(xv) for row in o):
+        raise ValueError("dimension mismatch")
+    den_o = clearing_scale(*(entry for row in o for entry in row))
+    lam = clearing_scale(*xv, p)
+    scale = den_o * lam
+    w = [scale_to_gaussian(entry, den_o) for entry in o[i]]
+    x_ints = [scale_to_gaussian(coord, lam) for coord in xv]
+    rotated = (0, 0)
+    for wj, xj in zip(w, x_ints):
+        t = _gmul(wj, xj)
+        rotated = (rotated[0] + t[0], rotated[1] + t[1])
+    lhs_re, lhs_im = gaussian_row(m, rotated, scale_to_gaussian(p, scale * scale))[m]
+    p_int = scale_to_gaussian(p, lam * lam)
+    tables = []
+    for wj, xj in zip(w, x_ints):
+        row = gaussian_row(m, xj, p_int)
+        tables.append([_gmul(pw, g) for pw, g in zip(_gpowers(wj, m), row)])
+    rhs_re, rhs_im = _multinomial_sum(m, tables)
+    den = scale**m
+    return from_gaussian(lhs_re, lhs_im, den), from_gaussian(rhs_re, rhs_im, den)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +541,12 @@ def coeff_C(m1: int, m2: int, r: int, c: Scalar, s: Scalar) -> Scalar:
     if not (0 <= r <= m1 + m2):
         raise ValueError("r must lie in [0, m1+m2]")
     mode = c.mode
+    if mode == EXACT:
+        den = clearing_scale(c, s)
+        c_pows = _gpowers(scale_to_gaussian(c, den), m1 + m2)
+        s_pows = _gpowers(scale_to_gaussian(s, den), m1 + m2)
+        re, im = _coeff_C_gaussian(m1, m2, r, c_pows, s_pows)
+        return from_gaussian(re, im, den ** (m1 + m2))
     total = zero(mode)
     for l in range(min(m2, r) + 1):
         b1 = math.comb(m1, r - l) if r - l <= m1 else 0
@@ -437,6 +557,65 @@ def coeff_C(m1: int, m2: int, r: int, c: Scalar, s: Scalar) -> Scalar:
             m1 - r + 2 * l
         )
     return total
+
+
+def _coeff_C_gaussian(
+    m1: int,
+    m2: int,
+    r: int,
+    c_pows: Sequence[GaussianInt],
+    s_pows: Sequence[GaussianInt],
+) -> GaussianInt:
+    """C_{m1,m2,r} from power rows of the Gaussian integers k c and k s.
+
+    Every term has degree m1 + m2 in (c, s), so the result is
+    k^(m1+m2) C_{m1,m2,r}(c, s).
+    """
+    re = im = 0
+    for l in range(min(m2, r) + 1):
+        b1 = math.comb(m1, r - l) if r - l <= m1 else 0
+        if b1 == 0:
+            continue
+        weight = b1 * math.comb(m2, l) * (-1) ** (m1 - r + l)
+        term = _gmul(c_pows[m2 + r - 2 * l], s_pows[m1 - r + 2 * l])
+        re += weight * term[0]
+        im += weight * term[1]
+    return re, im
+
+
+def _factorization_sides_exact(
+    m1: int, m2: int, c: Scalar, s: Scalar, x: Scalar, y: Scalar, p: Scalar
+) -> tuple[Scalar, Scalar]:
+    # With (c, s) = (cc, ss) / k and (x, y) = (X, Y) / lam, cx - sy and
+    # sx + cy are integers over k lam, C_{m1,m2,r} is an integer over
+    # k^(m1+m2), and both sides share the denominator (k lam)^(m1+m2).
+    k = clearing_scale(c, s)
+    cc, ss = scale_to_gaussian(c, k), scale_to_gaussian(s, k)
+    c_sq, s_sq = _gmul(cc, cc), _gmul(ss, ss)
+    if (c_sq[0] + s_sq[0], c_sq[1] + s_sq[1]) != (k * k, 0):
+        raise ValueError("c^2 + s^2 must equal 1 exactly")
+    lam = clearing_scale(x, y, p)
+    x_int, y_int = scale_to_gaussian(x, lam), scale_to_gaussian(y, lam)
+    total = m1 + m2
+    scale = k * lam
+    p_lhs = scale_to_gaussian(p, scale * scale)
+    cx, sy = _gmul(cc, x_int), _gmul(ss, y_int)
+    sx, cy = _gmul(ss, x_int), _gmul(cc, y_int)
+    u = (cx[0] - sy[0], cx[1] - sy[1])
+    v = (sx[0] + cy[0], sx[1] + cy[1])
+    lhs_re, lhs_im = _gmul(gaussian_row(m1, u, p_lhs)[m1], gaussian_row(m2, v, p_lhs)[m2])
+    p_int = scale_to_gaussian(p, lam * lam)
+    row_x = gaussian_row(total, x_int, p_int)
+    row_y = gaussian_row(total, y_int, p_int)
+    c_pows, s_pows = _gpowers(cc, total), _gpowers(ss, total)
+    rhs_re = rhs_im = 0
+    for r in range(total + 1):
+        coeff = _coeff_C_gaussian(m1, m2, r, c_pows, s_pows)
+        term = _gmul(coeff, _gmul(row_x[r], row_y[total - r]))
+        rhs_re += term[0]
+        rhs_im += term[1]
+    den = scale**total
+    return from_gaussian(lhs_re, lhs_im, den), from_gaussian(rhs_re, rhs_im, den)
 
 
 def factorization_sumrule(
@@ -451,19 +630,18 @@ def factorization_sumrule(
 ) -> IdentityReport:
     """g_{m1}(cx-sy, p) g_{m2}(sx+cy, p) against its connection expansion."""
     mode = p.mode
-    unit = one(mode)
-    cs_check = c * c + s * s
     if mode == EXACT:
-        if cs_check != unit:
-            raise ValueError("c^2 + s^2 must equal 1 exactly")
-    elif magnitude(cs_check - unit) > 1e-12:
-        raise ValueError("c^2 + s^2 must equal 1")
-    lhs = _gh(m1, c * x - s * y, p) * _gh(m2, s * x + c * y, p)
-    rhs = zero(mode)
-    for r in range(m1 + m2 + 1):
-        rhs = rhs + coeff_C(m1, m2, r, c, s) * _gh(r, x, p) * _gh(
-            m1 + m2 - r, y, p
-        )
+        lhs, rhs = _factorization_sides_exact(m1, m2, c, s, x, y, p)
+    else:
+        unit = one(mode)
+        if magnitude(c * c + s * s - unit) > 1e-12:
+            raise ValueError("c^2 + s^2 must equal 1")
+        lhs = _gh(m1, c * x - s * y, p) * _gh(m2, s * x + c * y, p)
+        rhs = zero(mode)
+        for r in range(m1 + m2 + 1):
+            rhs = rhs + coeff_C(m1, m2, r, c, s) * _gh(r, x, p) * _gh(
+                m1 + m2 - r, y, p
+            )
     params = {
         "m1": str(m1),
         "m2": str(m2),

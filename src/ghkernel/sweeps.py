@@ -8,9 +8,8 @@ every verdict at zero residual instead of a float tolerance.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .identities import (
     IdentityReport,
@@ -146,19 +145,6 @@ def exact_pair_pool(n: int, mode: str = EXACT) -> list[tuple[Vector, Vector]]:
     return pairs
 
 
-def _run_jobs(
-    jobs: Iterable[Callable[[], IdentityReport]],
-    max_workers: int | None,
-) -> list[IdentityReport]:
-    jobs = list(jobs)
-    if max_workers is not None and max_workers > 1:
-        # Reports are merged in submission order, so the degree of
-        # parallelism never changes the output.
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda job: job(), jobs))
-    return [job() for job in jobs]
-
-
 def _param_scalar(value: Fraction, mode: str) -> Scalar:
     s = exact(value)
     return to_float(s) if mode == FLOAT else s
@@ -171,10 +157,9 @@ def graczyk_sweep(
     m_max: int = M_MAX,
     p_values: Sequence[Fraction] = P_GRID,
     pairs_by_n: dict[int, list[tuple[Vector, Vector]]] | None = None,
-    max_workers: int | None = None,
 ) -> list[IdentityReport]:
     """Inner-product sum rule over the full default grid."""
-    jobs: list[Callable[[], IdentityReport]] = []
+    reports = []
     for n in n_values:
         pairs = (
             pairs_by_n[n] if pairs_by_n is not None else exact_pair_pool(n, mode)
@@ -183,12 +168,8 @@ def graczyk_sweep(
             for big_m in range(m_max + 1):
                 for p_val in p_values:
                     p = _param_scalar(p_val, mode)
-                    jobs.append(
-                        lambda big_m=big_m, xv=xv, yv=yv, p=p: graczyk_identity(
-                            big_m, xv, yv, p, tolerance
-                        )
-                    )
-    return _run_jobs(jobs, max_workers)
+                    reports.append(graczyk_identity(big_m, xv, yv, p, tolerance))
+    return reports
 
 
 def _givens_t_scalars(mode: str) -> list[tuple[str, Scalar]]:
@@ -245,22 +226,19 @@ def rotation_sweep(
     tolerance: float | None = None,
     n_values: Sequence[int] = (2, 3),
     m_max: int = M_MAX,
-    max_workers: int | None = None,
 ) -> list[IdentityReport]:
     """Rotation sum rule over all default rotations, rows, and degrees."""
     p = _param_scalar(ROTATION_P, mode)
-    jobs: list[Callable[[], IdentityReport]] = []
+    reports = []
     for n in n_values:
         xv = _as_vector(ROTATION_VECTORS[n], mode)
         for label, rot in default_rotations(n, mode):
             for m in range(m_max + 1):
                 for i in range(n):
-                    jobs.append(
-                        lambda m=m, rot=rot, i=i, xv=xv, p=p, label=label: rotation_sumrule(
-                            m, rot, i, xv, p, tolerance, label=label
-                        )
+                    reports.append(
+                        rotation_sumrule(m, rot, i, xv, p, tolerance, label=label)
                     )
-    return _run_jobs(jobs, max_workers)
+    return reports
 
 
 def default_cs_pairs(mode: str = EXACT) -> list[tuple[Scalar, Scalar]]:
@@ -287,10 +265,9 @@ def factorization_sweep(
     mode: str = EXACT,
     tolerance: float | None = None,
     degree_max: int = FACTORIZATION_DEGREE_MAX,
-    max_workers: int | None = None,
 ) -> list[IdentityReport]:
     """Factorization rule over all degree splits and (c, s) families."""
-    jobs: list[Callable[[], IdentityReport]] = []
+    reports = []
     for c, s in default_cs_pairs(mode):
         for x_val, y_val, p_val in FACTORIZATION_POINTS:
             x = _param_scalar(x_val, mode)
@@ -298,12 +275,10 @@ def factorization_sweep(
             p = _param_scalar(p_val, mode)
             for m1 in range(degree_max + 1):
                 for m2 in range(degree_max + 1 - m1):
-                    jobs.append(
-                        lambda m1=m1, m2=m2, c=c, s=s, x=x, y=y, p=p: factorization_sumrule(
-                            m1, m2, c, s, x, y, p, tolerance
-                        )
+                    reports.append(
+                        factorization_sumrule(m1, m2, c, s, x, y, p, tolerance)
                     )
-    return _run_jobs(jobs, max_workers)
+    return reports
 
 
 def inner_product_moment_sweep(
@@ -312,22 +287,19 @@ def inner_product_moment_sweep(
     n_values: Sequence[int] = MOMENT_N_VALUES,
     p_values: Sequence[Fraction] = MOMENT_P_VALUES,
     m_max: int = M_MAX,
-    max_workers: int | None = None,
 ) -> list[IdentityReport]:
     """Moment equality of the stochastic inner-product representation."""
-    jobs: list[Callable[[], IdentityReport]] = []
+    reports = []
     for n in n_values:
         pairs = exact_pair_pool(n, mode)[:3]
         for xv, yv in pairs:
             for big_m in range(m_max + 1):
                 for p_val in p_values:
                     p = _param_scalar(p_val, mode)
-                    jobs.append(
-                        lambda big_m=big_m, xv=xv, yv=yv, p=p: inner_product_moment_identity(
-                            big_m, xv, yv, p, tolerance
-                        )
+                    reports.append(
+                        inner_product_moment_identity(big_m, xv, yv, p, tolerance)
                     )
-    return _run_jobs(jobs, max_workers)
+    return reports
 
 
 def _reshape(flat: Vector, rows: int, cols: int) -> Matrix:
@@ -341,22 +313,17 @@ def matrix_moment_sweep(
     tolerance: float | None = None,
     shapes: Sequence[tuple[int, int]] = MATRIX_SHAPES,
     m_max: int = M_MAX,
-    max_workers: int | None = None,
 ) -> list[IdentityReport]:
     """Moment equality of the matrix trace representation."""
-    jobs: list[Callable[[], IdentityReport]] = []
+    reports = []
     for rows, cols in shapes:
         pairs = exact_pair_pool(rows * cols, mode)[:3]
         for flat_x, flat_y in pairs:
             xm = _reshape(flat_x, rows, cols)
             ym = _reshape(flat_y, rows, cols)
             for big_m in range(m_max + 1):
-                jobs.append(
-                    lambda big_m=big_m, xm=xm, ym=ym: matrix_moment_identity(
-                        big_m, xm, ym, tolerance
-                    )
-                )
-    return _run_jobs(jobs, max_workers)
+                reports.append(matrix_moment_identity(big_m, xm, ym, tolerance))
+    return reports
 
 
 SWEEPS: dict[str, Callable[..., list[IdentityReport]]] = {

@@ -140,23 +140,6 @@ def test_verify_csv_columns(tmp_path, capsys):
     assert all(json.loads(row["params"]) for row in rows)
 
 
-def test_verify_thread_env_does_not_change_reports(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    code, _, _ = run(capsys, "verify", "matrix", "--out", str(serial))
-    assert code == 0
-    monkeypatch.setenv("GH_KERNEL_THREADS", "4")
-    code, _, _ = run(capsys, "verify", "matrix", "--out", str(threaded))
-    assert code == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
-def test_verify_bad_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("GH_KERNEL_THREADS", "many")
-    code, _, _ = run(capsys, "verify", "matrix")
-    assert code == 2
-
-
 def test_sample_inner_product_deterministic(tmp_path, capsys):
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"

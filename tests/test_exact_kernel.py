@@ -1,0 +1,320 @@
+"""The exact integer kernel against independent Scalar references.
+
+Every exact sum-rule side is evaluated over Gaussian integers and divided
+once at the end.  The references below use only the direct gap-2 sum
+(`gh_eval`) and Scalar arithmetic, so a kernel that returned wrong (or
+trivially equal) sides would disagree with them.  The mutation controls
+show each exact check able to fail on a wrong identity.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+
+from ghkernel import (
+    FAIL,
+    ModeMismatchError,
+    PolarizationPair,
+    coeff_C,
+    complex_givens,
+    exact,
+    factorization_sumrule,
+    flt,
+    gh_eval,
+    gh_eval_recurrence,
+    gh_moment_oracle,
+    graczyk_identity,
+    graczyk_lhs,
+    graczyk_rhs,
+    lift,
+    mat_identity,
+    polarization_pair,
+    rotation_sumrule,
+)
+from ghkernel.ghpoly import clearing_scale, gaussian_row, scale_to_gaussian
+from ghkernel.identities import make_report
+
+ONE = exact(1)
+ZERO = exact(0)
+
+
+def q(num, den=1):
+    return Fraction(num, den)
+
+
+# Parameters: complex, zero, and real with mixed denominators.
+P_VALUES = (
+    exact(q(1, 3), q(2, 7)),
+    ZERO,
+    exact(q(-5, 4)),
+    exact(0, q(-3, 2)),
+)
+
+# Vectors mixing zero coordinates, complex entries and unlike denominators.
+VECTOR_PAIRS = (
+    ((exact(q(1, 2)), exact(q(-2, 3))), (exact(q(3, 5)), ZERO)),
+    ((ZERO,), (exact(q(7, 6)),)),
+    ((exact(1, q(1, 2)), exact(q(-3, 4)), ZERO), (exact(q(2, 9)), exact(2), exact(q(-1, 5), 1))),
+)
+
+
+def cayley(t):
+    unit = exact(1)
+    return (unit - t * t) / (unit + t * t), (t + t) / (unit + t * t)
+
+
+# ---------------------------------------------------------------------------
+# references: direct sum and Scalar arithmetic only
+
+
+def index_tuples(total, n):
+    """All n-tuples of naturals summing to total, by brute force."""
+    return [m for m in itertools.product(range(total + 1), repeat=n) if sum(m) == total]
+
+
+def ref_graczyk_lhs(M, xv, yv, p):
+    total = ZERO
+    for m in index_tuples(M, len(xv)):
+        term = ONE
+        for mj, xj, yj in zip(m, xv, yv):
+            term = term * gh_eval(mj, xj, p) * gh_eval(mj, yj, p) / exact(math.factorial(mj))
+        total = total + term
+    return total
+
+
+def ref_graczyk_rhs(M, x, y, n, p):
+    total = ZERO
+    for j in range(M // 2 + 1):
+        rising = ONE
+        for step in range(j):
+            rising = rising * exact(q(n - 1, 2) + step)
+        weight = (exact(2) * p) ** (2 * j) * rising
+        weight = weight / exact(math.factorial(j) * math.factorial(M - 2 * j))
+        total = total + weight * gh_eval(M - 2 * j, x, p) * gh_eval(M - 2 * j, y, p)
+    return total
+
+
+def ref_rotation_sides(m, o, i, xv, p):
+    rotated = ZERO
+    for oij, xj in zip(o[i], xv):
+        rotated = rotated + oij * xj
+    lhs = gh_eval(m, rotated, p)
+    rhs = ZERO
+    for mi in index_tuples(m, len(xv)):
+        term = exact(math.factorial(m))
+        for mj, oij, xj in zip(mi, o[i], xv):
+            term = term * oij**mj * gh_eval(mj, xj, p) / exact(math.factorial(mj))
+        rhs = rhs + term
+    return lhs, rhs
+
+
+def ref_coeff_C(m1, m2, r, c, s):
+    """Coefficient of a^r b^(m1+m2-r) in (c a - s b)^m1 (s a + c b)^m2,
+    by multiplying coefficient lists (index = power of a)."""
+
+    def times(poly, a_coeff, b_coeff):
+        out = [ZERO] * (len(poly) + 1)
+        for k, coeff in enumerate(poly):
+            out[k + 1] = out[k + 1] + coeff * a_coeff
+            out[k] = out[k] + coeff * b_coeff
+        return out
+
+    poly = [ONE]
+    for _ in range(m1):
+        poly = times(poly, c, -s)
+    for _ in range(m2):
+        poly = times(poly, s, c)
+    return poly[r]
+
+
+def ref_factorization_sides(m1, m2, c, s, x, y, p):
+    lhs = gh_eval(m1, c * x - s * y, p) * gh_eval(m2, s * x + c * y, p)
+    rhs = ZERO
+    for r in range(m1 + m2 + 1):
+        rhs = rhs + ref_coeff_C(m1, m2, r, c, s) * gh_eval(r, x, p) * gh_eval(m1 + m2 - r, y, p)
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# each exact side against its reference
+
+
+def test_graczyk_lhs_matches_reference():
+    for xv, yv in VECTOR_PAIRS:
+        for p in P_VALUES:
+            for big_m in range(6):
+                assert graczyk_lhs(big_m, xv, yv, p) == ref_graczyk_lhs(big_m, xv, yv, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_graczyk_rhs_matches_reference(n):
+    pairs = (
+        (exact(q(5, 2)), exact(q(-1, 3))),
+        (ZERO, exact(q(4, 7))),
+        (exact(q(1, 6), q(1, 4)), exact(-2, q(2, 3))),
+    )
+    for x, y in pairs:
+        pair = PolarizationPair(x, y)
+        for p in P_VALUES:
+            for big_m in range(7):
+                assert graczyk_rhs(big_m, pair, n, p) == ref_graczyk_rhs(big_m, x, y, n, p)
+
+
+def test_rotation_sides_match_reference():
+    givens = complex_givens(3, 0, 2, exact(q(1, 2), q(1, 3)))
+    # Each side is checked on its own, so O need not be orthogonal here.
+    skew = (
+        (exact(q(1, 2)), exact(q(-2, 3), 1), ZERO),
+        (exact(3), exact(q(1, 5)), exact(0, q(-1, 4))),
+        (ZERO, exact(q(7, 3)), exact(1, 1)),
+    )
+    xv = (exact(q(1, 2)), ZERO, exact(q(-4, 3), q(1, 7)))
+    for o in (givens, skew, mat_identity(3, "exact")):
+        for p in P_VALUES:
+            for m in range(6):
+                for i in range(3):
+                    report = rotation_sumrule(m, o, i, xv, p)
+                    lhs, rhs = ref_rotation_sides(m, o, i, xv, p)
+                    assert report.lhs == lhs
+                    assert report.rhs == rhs
+
+
+CS_PAIRS = (
+    (exact(q(3, 5)), exact(q(-4, 5))),
+    (ONE, ZERO),
+    cayley(exact(q(1, 3), q(1, 2))),
+    cayley(exact(0, q(1, 2))),
+)
+
+
+def test_coeff_C_matches_reference():
+    for c, s in CS_PAIRS + ((exact(q(2, 3), q(1, 5)), exact(q(-7, 4))),):
+        for m1 in range(5):
+            for m2 in range(5):
+                for r in range(m1 + m2 + 1):
+                    assert coeff_C(m1, m2, r, c, s) == ref_coeff_C(m1, m2, r, c, s)
+
+
+def test_factorization_sides_match_reference():
+    points = (
+        (ZERO, exact(q(3, 4)), P_VALUES[0]),
+        (exact(q(2, 3)), exact(q(-1, 5)), ZERO),
+        (exact(q(1, 2), 1), ZERO, exact(q(-5, 4))),
+    )
+    for c, s in CS_PAIRS:
+        for x, y, p in points:
+            for m1 in range(5):
+                for m2 in range(5 - m1):
+                    report = factorization_sumrule(m1, m2, c, s, x, y, p)
+                    lhs, rhs = ref_factorization_sides(m1, m2, c, s, x, y, p)
+                    assert report.lhs == lhs
+                    assert report.rhs == rhs
+
+
+def test_gaussian_row_is_every_degree_of_one_recurrence():
+    x, p = (3, -2), (-1, 4)
+    row = gaussian_row(12, x, p)
+    assert len(row) == 13
+    for k, (re, im) in enumerate(row):
+        assert exact(re, im) == gh_eval(k, exact(*x), exact(*p))
+    assert gaussian_row(0, x, p) == [(1, 0)]
+
+
+def test_scaling_helpers():
+    values = (exact(q(1, 6), q(3, 4)), exact(q(-2, 9)))
+    lam = clearing_scale(*values)
+    assert lam == 36
+    assert scale_to_gaussian(values[0], lam) == (6, 27)
+    with pytest.raises(ValueError):
+        scale_to_gaussian(values[0], 6)
+
+
+# ---------------------------------------------------------------------------
+# three evaluators, random Gaussian-rational points
+
+
+def test_recurrence_matches_direct_sum_and_moments_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+    gaussian = st.builds(exact, rationals, rationals)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(m=st.integers(min_value=0, max_value=50), x=gaussian, p=gaussian)
+    def check(m, x, p):
+        want = gh_eval(m, x, p)
+        assert gh_eval_recurrence(m, x, p) == want
+        assert gh_moment_oracle(m, x, p) == want
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# mutation controls: wrong identities must fail in exact mode
+
+
+def test_graczyk_with_shifted_pochhammer_argument_fails():
+    """Dimension n+1 moves the Pochhammer argument from (n-1)/2 to n/2."""
+    xv, yv = (exact(3), exact(4)), (exact(q(3, 2)), exact(2))
+    pair = polarization_pair(xv, yv)
+    for p in (exact(1), exact(q(-1, 2)), exact(q(1, 3), 1)):
+        for big_m in range(2, 7):
+            assert graczyk_identity(big_m, xv, yv, p).verdict == "exact-pass"
+            wrong = graczyk_rhs(big_m, pair, len(xv) + 1, p)
+            report = make_report("graczyk", {}, graczyk_lhs(big_m, xv, yv, p), wrong)
+            assert report.verdict == FAIL
+
+
+def test_rotation_with_non_orthogonal_matrix_fails():
+    """2 G(0,1;1/2) has O O^t = 4 I, so the expansion breaks from m = 2."""
+    two = lift(2, "exact")
+    givens = complex_givens(2, 0, 1, exact(q(1, 2)))
+    scaled = tuple(tuple(two * entry for entry in row) for row in givens)
+    xv, p = (exact(1), exact(2)), exact(q(1, 3))
+    for m in range(2, 7):
+        for i in range(2):
+            assert rotation_sumrule(m, givens, i, xv, p).verdict == "exact-pass"
+            assert rotation_sumrule(m, scaled, i, xv, p).verdict == FAIL
+
+
+def test_factorization_with_sign_flipped_expansion_fails():
+    """Negating s on the right-hand side only."""
+    x, y, p = exact(1), exact(2), exact(q(-1, 2))
+    for c, s in ((exact(q(3, 5)), exact(q(4, 5))), cayley(exact(0, q(1, 2)))):
+        for m1, m2 in ((1, 0), (1, 1), (2, 1), (3, 2)):
+            right = factorization_sumrule(m1, m2, c, s, x, y, p)
+            flipped = factorization_sumrule(m1, m2, c, -s, x, y, p)
+            assert right.verdict == "exact-pass"
+            report = make_report("factorization", {}, right.lhs, flipped.rhs)
+            assert report.verdict == FAIL
+
+
+# ---------------------------------------------------------------------------
+# mode mixing
+
+
+def test_exact_sides_reject_one_float_scalar():
+    p = exact(q(1, 3))
+    xv, yv = (exact(3), exact(4)), (exact(3), flt(4.0))
+    with pytest.raises(ModeMismatchError):
+        graczyk_lhs(2, xv, yv, p)
+    with pytest.raises(ModeMismatchError):
+        graczyk_rhs(2, PolarizationPair(exact(5), flt(5.0)), 2, p)
+    rot = complex_givens(2, 0, 1, exact(q(1, 2)))
+    with pytest.raises(ModeMismatchError):
+        rotation_sumrule(3, rot, 0, (exact(1), flt(2.0)), p)
+    mixed_rot = (rot[0], (rot[1][0], flt(0.6)))
+    with pytest.raises(ModeMismatchError):
+        rotation_sumrule(3, mixed_rot, 0, (exact(1), exact(2)), p)
+    c, s = exact(q(3, 5)), exact(q(4, 5))
+    with pytest.raises(ModeMismatchError):
+        factorization_sumrule(2, 1, c, s, flt(1.0), exact(2), p)
+    with pytest.raises(ModeMismatchError):
+        factorization_sumrule(2, 1, c, flt(0.8), exact(1), exact(2), p)
+    with pytest.raises(ModeMismatchError):
+        coeff_C(2, 1, 1, c, flt(0.8))
+    with pytest.raises(ModeMismatchError):
+        gh_eval_recurrence(3, exact(1), flt(1.0))
