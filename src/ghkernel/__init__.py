@@ -8,6 +8,8 @@ associated stochastic representations by seeded moment matching.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .scalars import (
     EXACT,
     FLOAT,
@@ -69,23 +71,6 @@ from .identities import (
     relative_residual,
     rotation_sumrule,
 )
-from .sampling import (
-    MomentVerdict,
-    RngStream,
-    SampleStats,
-    chi_even_moment,
-    chi_merge_samples,
-    collect_stats,
-    inner_product_lhs_samples,
-    inner_product_rhs_samples,
-    ks_two_sample,
-    matrix_trace_rhs_samples,
-    matrix_trace_samples,
-    moment_match,
-    moment_match_exact,
-    sample_chi,
-    sample_gaussian,
-)
 from .sweeps import (
     exact_pair_pool,
     default_cs_pairs,
@@ -97,6 +82,35 @@ from .sweeps import (
     matrix_moment_sweep,
     rotation_sweep,
 )
+
+# The Monte Carlo engine needs numpy, which the exact checks never use, so
+# its names are loaded on first access (PEP 562).
+_SAMPLING_NAMES = frozenset(
+    {
+        "MomentVerdict",
+        "RngStream",
+        "SampleStats",
+        "chi_even_moment",
+        "chi_merge_samples",
+        "collect_stats",
+        "inner_product_lhs_samples",
+        "inner_product_rhs_samples",
+        "ks_two_sample",
+        "matrix_trace_rhs_samples",
+        "matrix_trace_samples",
+        "moment_match",
+        "moment_match_exact",
+        "sample_chi",
+        "sample_gaussian",
+    }
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _SAMPLING_NAMES:
+        return getattr(importlib.import_module(".sampling", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EXACT",

@@ -16,12 +16,9 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
+from .defaults import DEFAULT_ORDER, DEFAULT_Z
 from .identities import PolarizationPair
-
-DEFAULT_ORDER = 4
-DEFAULT_Z = 5.0
 
 
 @dataclass(frozen=True)
@@ -250,5 +247,7 @@ def moment_match_exact(
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Secondary diagnostic: two-sample Kolmogorov-Smirnov (statistic, p)."""
-    result = _scipy_stats.ks_2samp(a, b)
+    from scipy import stats  # only this diagnostic needs scipy
+
+    result = stats.ks_2samp(a, b)
     return float(result.statistic), float(result.pvalue)

@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from ghkernel.cli import canonical_json, main
 
 
@@ -119,9 +121,10 @@ def test_verify_impossible_tolerance_exits_1(tmp_path, capsys):
     assert payload["all_pass"] is False
 
 
-def test_verify_rejects_nonpositive_tolerance(capsys):
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_nonpositive_tolerance(capsys, tolerance):
     code, _, _ = run(capsys, "verify", "matrix", "--mode", "float",
-                     "--tolerance", "0")
+                     f"--tolerance={tolerance}")
     assert code == 2
 
 
@@ -186,6 +189,14 @@ def test_sample_tiny_z_exits_1(tmp_path, capsys):
     code, _, _ = run(capsys, "sample", "inner-product", "--count", "50000",
                      "--seed", "5", "--z", "1e-9", "--out", str(out_file))
     assert code == 1
+
+
+@pytest.mark.parametrize("z", ["0", "-1", "nan", "inf"])
+def test_sample_rejects_vacuous_z(capsys, z):
+    code, _, err = run(capsys, "sample", "inner-product", "--count", "1000",
+                       f"--z={z}")
+    assert code == 2
+    assert "z threshold" in err
 
 
 def test_sample_ks_diagnostic(tmp_path, capsys):

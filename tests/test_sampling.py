@@ -237,3 +237,38 @@ def test_collect_stats_validation():
         collect_stats(np.array([1.0]))
     with pytest.raises(ValueError):
         collect_stats(np.ones((3, 3)))
+
+
+def test_mutation_rhs_without_chi_term_is_caught():
+    """Control: the right-hand side with its p Z_{n-1} N term dropped.
+
+    At xv = yv = 0 the whole chi term carries half the variance in n = 2,
+    so the gate must see the mutant while the true sampler passes.
+    """
+    xv = yv = (0.0, 0.0)
+    pair = polarization_pair((flt(0), flt(0)), (flt(0), flt(0)))
+    count = 100_000
+    lhs = collect_stats(inner_product_lhs_samples(xv, yv, 1.0, RngStream(81, 0), count))
+    # dimension 1 is the same sampler without the chi term
+    for n, should_pass in ((2, True), (1, False)):
+        rhs = inner_product_rhs_samples(pair, n, 1.0, RngStream(81, 1), count)
+        verdicts = moment_match(lhs, collect_stats(rhs), order=4, z=5.0)
+        assert all(v.passed for v in verdicts) is should_pass
+
+
+def test_mutation_moments_without_half_p_are_caught():
+    """Control: the exact moments taken at parameter p instead of p / 2.
+
+    Both exact sides change alike under this slip, so only the samples
+    of the left-hand side can catch it.
+    """
+    xv = (exact(3), exact(4))
+    samples = inner_product_lhs_samples((3.0, 4.0), (3.0, 4.0), 1.0, RngStream(82, 0), 100_000)
+    stats = collect_stats(samples, order=4)
+    for p, should_pass in ((exact(Fraction(1, 2)), True), (exact(1), False)):
+        targets = {
+            big_m: float(graczyk_lhs(big_m, xv, xv, p).re * math.factorial(big_m))
+            for big_m in range(1, 5)
+        }
+        verdicts = moment_match_exact(stats, targets, z=5.0)
+        assert all(v.passed for v in verdicts) is should_pass
