@@ -21,58 +21,40 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 from .defaults import DEFAULT_COUNT, DEFAULT_ORDER, DEFAULT_Z
 from .identities import (
+    DEFAULT_FLOAT_TOLERANCE,
     IdentityReport,
     Matrix,
     Vector,
-    graczyk_identity,
     matrix_polarization,
     polarization_pair,
 )
 from .ghpoly import gh_eval, hermite_eval
-from .scalars import (
-    EXACT,
-    FLOAT,
-    exact,
-    format_scalar,
-    parse_scalar,
-    to_float,
-)
-from .sweeps import M_MAX, P_GRID, SWEEPS, grid_description
+from .scalars import EXACT, FLOAT, format_scalar, parse_scalar
+from .sweeps import P_GRID, SWEEPS, graczyk_point, grid_description, in_mode
 
 if TYPE_CHECKING:
     from .sampling import SampleStats
 
 SPEC_VERSION = __version__
 
-VERIFY_IDENTITIES = (
-    "graczyk",
-    "rotation",
-    "factorization",
-    "inner-product-moments",
-    "matrix",
-)
 SAMPLE_TARGETS = ("inner-product", "matrix", "chi-merge")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options for one command invocation.
+    """Validated options for one command invocation.
 
-    Exact mode ignores tolerances entirely; float mode demands a finite
-    positive one.  Monte Carlo commands derive their per-moment tolerances
-    from z, which must be finite and positive too, and leave `tolerance`
-    unset.
+    Exact mode takes no tolerance; float mode demands a finite positive
+    one.  Monte Carlo commands derive their per-moment tolerances from z,
+    which must be finite and positive too, and leave `tolerance` unset.
     """
 
-    command: str
     mode: str = EXACT
     tolerance: float | None = None
     seed: int = 0
     count: int = DEFAULT_COUNT
     order: int = DEFAULT_ORDER
     z: float = DEFAULT_Z
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self) -> None:
         if self.mode == EXACT and self.tolerance is not None:
@@ -81,6 +63,10 @@ class RunConfig:
             raise ValueError("float mode needs a finite positive tolerance")
         if not 0 < self.z < math.inf:
             raise ValueError("the z threshold must be finite and positive")
+        if self.count < 2:
+            raise ValueError("--count must be at least 2")
+        if self.order < 1:
+            raise ValueError("--order must be at least 1")
 
 
 def canonical_json(obj: object) -> str:
@@ -180,40 +166,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # verify
 
 
-def _graczyk_point_reports(
-    args: argparse.Namespace, config: RunConfig
-) -> list[IdentityReport]:
-    xv = _parse_vector(args.xv, config.mode)
-    yv = _parse_vector(args.yv, config.mode)
-    if args.p is not None:
-        p_values = [parse_scalar(args.p, config.mode)]
-    else:
-        p_values = [
-            to_float(exact(p)) if config.mode == FLOAT else exact(p)
-            for p in P_GRID
-        ]
-    reports = []
-    for big_m in range(M_MAX + 1):
-        for p in p_values:
-            reports.append(graczyk_identity(big_m, xv, yv, p, config.tolerance))
-    return reports
-
-
-def _verify_config(args: argparse.Namespace) -> RunConfig:
-    tolerance: float | None = None
-    if args.mode == FLOAT:
-        tolerance = args.tolerance if args.tolerance is not None else 1e-9
-    return RunConfig(
-        command="verify",
-        mode=args.mode,
-        tolerance=tolerance,
-        out=args.out,
-        fmt=args.format,
-    )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _verify_config(args)
+    tolerance = args.tolerance
+    if args.mode == FLOAT and tolerance is None:
+        tolerance = DEFAULT_FLOAT_TOLERANCE
+    config = RunConfig(mode=args.mode, tolerance=tolerance)
 
     explicit_point = args.xv is not None or args.yv is not None
     if explicit_point:
@@ -221,17 +178,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("--xv/--yv overrides apply to the graczyk identity only")
         if args.xv is None or args.yv is None:
             raise ValueError("need both --xv and --yv")
-        reports = _graczyk_point_reports(args, config)
+        xv = _parse_vector(args.xv, config.mode)
+        yv = _parse_vector(args.yv, config.mode)
+        if args.p is not None:
+            p_values = (parse_scalar(args.p, config.mode),)
+        else:
+            p_values = in_mode(P_GRID, config.mode)
+        reports = graczyk_point(xv, yv, p_values, config.tolerance)
         grid: dict[str, object] = {
             "explicit_point": {"xv": args.xv, "yv": args.yv, "p": args.p or "default grid"}
         }
+    elif args.p is not None:
+        raise ValueError("--p needs --xv and --yv")
     else:
         reports = SWEEPS[args.identity](mode=config.mode, tolerance=config.tolerance)
         grid = grid_description(args.identity)
 
     rows = [_report_row(r) for r in reports]
     all_pass = all(r.passed for r in reports)
-    if config.fmt == "csv":
+    if args.format == "csv":
         text = _rows_to_csv(rows)
     else:
         envelope = {
@@ -246,7 +211,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "tolerance": config.tolerance,
         }
         text = canonical_json(envelope)
-    _emit(text, config.out)
+    _emit(text, args.out)
     summary = f"verify {args.identity}: {len(rows)} checks, "
     summary += "all pass" if all_pass else "FAILURES present"
     print(summary, file=sys.stderr)
@@ -297,20 +262,9 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
     )
 
     config = RunConfig(
-        command="sample",
-        mode=FLOAT,
-        seed=args.seed,
-        count=args.count,
-        order=args.order,
-        z=args.z,
-        out=args.out,
-        fmt=args.format,
+        mode=FLOAT, seed=args.seed, count=args.count, order=args.order, z=args.z
     )
     seed, count, order, z = config.seed, config.count, config.order, config.z
-    if count < 2:
-        raise ValueError("--count must be at least 2")
-    if order < 1:
-        raise ValueError("--order must be at least 1")
     if args.ks:
         # Load scipy before the samples exist.  Loaded after them, it raised
         # the peak RSS of `sample inner-product --ks --count 4000000` from
@@ -465,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run an identity sweep")
-    p_verify.add_argument("identity", choices=VERIFY_IDENTITIES)
+    p_verify.add_argument("identity", choices=tuple(SWEEPS))
     p_verify.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
     p_verify.add_argument(
         "--tolerance", type=float, help="relative tolerance (float mode only)"

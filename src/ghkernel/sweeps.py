@@ -9,7 +9,9 @@ every verdict at zero residual instead of a float tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import reduce
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 from .identities import (
     IdentityReport,
@@ -35,6 +37,7 @@ P_GRID: tuple[Fraction, ...] = (
 )
 
 M_MAX = 6
+GRACZYK_N_VALUES = (1, 2, 3)
 
 # Integer (or rational) vectors whose Euclidean norm is rational, per
 # dimension.  Sums and differences of pool entries feed the polarization
@@ -111,18 +114,25 @@ ROTATION_VECTORS: dict[int, tuple[Fraction, ...]] = {
     2: (Fraction(1), Fraction(2)),
     3: (Fraction(1), Fraction(2), Fraction(3)),
 }
+# Plane sequences of the Givens products, per dimension: every single
+# block, then one product of two blocks and one of three.
+ROTATION_PLANES: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {
+    2: (((0, 1),), ((0, 1), (0, 1)), ((0, 1), (0, 1), (0, 1))),
+    3: (((0, 1),), ((0, 2),), ((1, 2),), ((0, 1), (1, 2)), ((0, 1), (0, 2), (1, 2))),
+}
 
 MOMENT_N_VALUES = (2, 3, 5)
 MOMENT_P_VALUES: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(2))
+# The moment sweeps take the first pairs of each pair pool only.
+MOMENT_PAIRS = 3
 
 MATRIX_SHAPES: tuple[tuple[int, int], ...] = ((2, 2), (2, 3))
 
 
-def _as_vector(parts: Sequence[Fraction], mode: str) -> Vector:
-    vec = tuple(exact(part) for part in parts)
-    if mode == FLOAT:
-        vec = tuple(to_float(s) for s in vec)
-    return vec
+def in_mode(values: Iterable[Fraction | Scalar], mode: str) -> tuple[Scalar, ...]:
+    """Grid values as scalars of `mode`, built exactly and then converted."""
+    scalars = tuple(v if isinstance(v, Scalar) else exact(v) for v in values)
+    return tuple(map(to_float, scalars)) if mode == FLOAT else scalars
 
 
 def exact_pair_pool(n: int, mode: str = EXACT) -> list[tuple[Vector, Vector]]:
@@ -132,108 +142,64 @@ def exact_pair_pool(n: int, mode: str = EXACT) -> list[tuple[Vector, Vector]]:
     ((u+v)/2, (u-v)/2) for pool vectors u, v, which polarize to (|u|, |v|).
     """
     vectors = RATIONAL_NORM_VECTORS[n]
-    pairs: list[tuple[Vector, Vector]] = []
-    for w in vectors[:3]:
-        for lam in PAIR_SCALES:
-            xv = _as_vector(w, mode)
-            yv = _as_vector(tuple(lam * part for part in w), mode)
-            pairs.append((xv, yv))
-    for u, v in zip(vectors, vectors[1:]):
-        half_sum = tuple((a + b) / 2 for a, b in zip(u, v))
-        half_diff = tuple((a - b) / 2 for a, b in zip(u, v))
-        pairs.append((_as_vector(half_sum, mode), _as_vector(half_diff, mode)))
-    return pairs
+    pairs = [(w, tuple(lam * a for a in w)) for w in vectors[:3] for lam in PAIR_SCALES]
+    pairs += [
+        (tuple((a + b) / 2 for a, b in zip(u, v)), tuple((a - b) / 2 for a, b in zip(u, v)))
+        for u, v in zip(vectors, vectors[1:])
+    ]
+    return [(in_mode(x, mode), in_mode(y, mode)) for x, y in pairs]
 
 
-def _param_scalar(value: Fraction, mode: str) -> Scalar:
-    s = exact(value)
-    return to_float(s) if mode == FLOAT else s
-
-
-def graczyk_sweep(
-    mode: str = EXACT,
-    tolerance: float | None = None,
-    n_values: Sequence[int] = (1, 2, 3),
-    m_max: int = M_MAX,
-    p_values: Sequence[Fraction] = P_GRID,
-    pairs_by_n: dict[int, list[tuple[Vector, Vector]]] | None = None,
+def graczyk_point(
+    xv: Vector, yv: Vector, p_values: Sequence[Scalar], tolerance: float | None
 ) -> list[IdentityReport]:
+    """Inner-product sum rule at one vector pair, for M = 0..M_MAX."""
+    return [
+        graczyk_identity(big_m, xv, yv, p, tolerance)
+        for big_m in range(M_MAX + 1)
+        for p in p_values
+    ]
+
+
+def graczyk_sweep(mode: str = EXACT, tolerance: float | None = None) -> list[IdentityReport]:
     """Inner-product sum rule over the full default grid."""
+    p_values = in_mode(P_GRID, mode)
     reports = []
-    for n in n_values:
-        pairs = (
-            pairs_by_n[n] if pairs_by_n is not None else exact_pair_pool(n, mode)
-        )
-        for xv, yv in pairs:
-            for big_m in range(m_max + 1):
-                for p_val in p_values:
-                    p = _param_scalar(p_val, mode)
-                    reports.append(graczyk_identity(big_m, xv, yv, p, tolerance))
+    for n in GRACZYK_N_VALUES:
+        for xv, yv in exact_pair_pool(n, mode):
+            reports += graczyk_point(xv, yv, p_values, tolerance)
     return reports
 
 
-def _givens_t_scalars(mode: str) -> list[tuple[str, Scalar]]:
-    out = []
-    for re_part, im_part in GIVENS_T_VALUES:
-        t = exact(re_part, im_part)
-        label = str(t)
-        if mode == FLOAT:
-            t = to_float(t)
-        out.append((label, t))
-    return out
+def _givens_ts() -> list[Scalar]:
+    return [exact(re_part, im_part) for re_part, im_part in GIVENS_T_VALUES]
 
 
 def default_rotations(n: int, mode: str = EXACT) -> list[tuple[str, Matrix]]:
-    """Products of up to three Cayley-Givens blocks, labelled for reports."""
-    ts = _givens_t_scalars(mode)
-    if n == 2:
-        planes = [(0, 1)]
-        double_planes = [(0, 1), (0, 1)]
-        triple_planes = [(0, 1), (0, 1), (0, 1)]
-    else:
-        planes = [(0, 1), (0, 2), (1, 2)]
-        double_planes = [(0, 1), (1, 2)]
-        triple_planes = [(0, 1), (0, 2), (1, 2)]
+    """Products of up to three Cayley-Givens blocks, labelled for reports.
 
-    def block(plane: tuple[int, int], labelled_t: tuple[str, Scalar]) -> tuple[str, Matrix]:
-        label, t = labelled_t
-        i, j = plane
-        return f"G({i},{j};{label})", complex_givens(n, i, j, t)
-
+    Float blocks are built from a float t: converting an exact block would
+    round differently.
+    """
+    exact_ts = _givens_ts()
+    ts = list(zip(map(str, exact_ts), in_mode(exact_ts, mode)))
     rotations: list[tuple[str, Matrix]] = []
-    for plane in planes:
-        for lt in ts:
-            rotations.append(block(plane, lt))
-    for lt1 in ts:
-        for lt2 in ts:
-            lbl1, m1 = block(double_planes[0], lt1)
-            lbl2, m2 = block(double_planes[1], lt2)
-            rotations.append((f"{lbl1}*{lbl2}", mat_mul(m1, m2)))
-    for lt1 in ts:
-        for lt2 in ts:
-            for lt3 in ts:
-                lbl1, m1 = block(triple_planes[0], lt1)
-                lbl2, m2 = block(triple_planes[1], lt2)
-                lbl3, m3 = block(triple_planes[2], lt3)
-                rotations.append(
-                    (f"{lbl1}*{lbl2}*{lbl3}", mat_mul(mat_mul(m1, m2), m3))
-                )
+    for planes in ROTATION_PLANES[n]:
+        for choice in product(ts, repeat=len(planes)):
+            labels = [f"G({i},{j};{label})" for (i, j), (label, _) in zip(planes, choice)]
+            blocks = [complex_givens(n, i, j, t) for (i, j), (_, t) in zip(planes, choice)]
+            rotations.append(("*".join(labels), reduce(mat_mul, blocks)))
     return rotations
 
 
-def rotation_sweep(
-    mode: str = EXACT,
-    tolerance: float | None = None,
-    n_values: Sequence[int] = (2, 3),
-    m_max: int = M_MAX,
-) -> list[IdentityReport]:
+def rotation_sweep(mode: str = EXACT, tolerance: float | None = None) -> list[IdentityReport]:
     """Rotation sum rule over all default rotations, rows, and degrees."""
-    p = _param_scalar(ROTATION_P, mode)
+    (p,) = in_mode([ROTATION_P], mode)
     reports = []
-    for n in n_values:
-        xv = _as_vector(ROTATION_VECTORS[n], mode)
+    for n, vector in ROTATION_VECTORS.items():
+        xv = in_mode(vector, mode)
         for label, rot in default_rotations(n, mode):
-            for m in range(m_max + 1):
+            for m in range(M_MAX + 1):
                 for i in range(n):
                     reports.append(
                         rotation_sumrule(m, rot, i, xv, p, tolerance, label=label)
@@ -241,40 +207,23 @@ def rotation_sweep(
     return reports
 
 
-def default_cs_pairs(mode: str = EXACT) -> list[tuple[Scalar, Scalar]]:
+def default_cs_pairs(mode: str = EXACT) -> list[tuple[Scalar, ...]]:
     """Pythagorean and Cayley solutions of c^2 + s^2 = 1."""
-    out: list[tuple[Scalar, Scalar]] = []
-    for c_val, s_val in PYTHAGOREAN_CS:
-        c, s = exact(c_val), exact(s_val)
-        if mode == FLOAT:
-            c, s = to_float(c), to_float(s)
-        out.append((c, s))
-    unit = exact(1)
-    for re_part, im_part in GIVENS_T_VALUES:
-        t = exact(re_part, im_part)
-        denom = unit + t * t
-        c = (unit - t * t) / denom
-        s = (t + t) / denom
-        if mode == FLOAT:
-            c, s = to_float(c), to_float(s)
-        out.append((c, s))
-    return out
+    cayley = [complex_givens(2, 0, 1, t) for t in _givens_ts()]
+    pairs = list(PYTHAGOREAN_CS) + [(g[0][0], g[1][0]) for g in cayley]
+    return [in_mode(pair, mode) for pair in pairs]
 
 
 def factorization_sweep(
-    mode: str = EXACT,
-    tolerance: float | None = None,
-    degree_max: int = FACTORIZATION_DEGREE_MAX,
+    mode: str = EXACT, tolerance: float | None = None
 ) -> list[IdentityReport]:
     """Factorization rule over all degree splits and (c, s) families."""
     reports = []
     for c, s in default_cs_pairs(mode):
-        for x_val, y_val, p_val in FACTORIZATION_POINTS:
-            x = _param_scalar(x_val, mode)
-            y = _param_scalar(y_val, mode)
-            p = _param_scalar(p_val, mode)
-            for m1 in range(degree_max + 1):
-                for m2 in range(degree_max + 1 - m1):
+        for point in FACTORIZATION_POINTS:
+            x, y, p = in_mode(point, mode)
+            for m1 in range(FACTORIZATION_DEGREE_MAX + 1):
+                for m2 in range(FACTORIZATION_DEGREE_MAX + 1 - m1):
                     reports.append(
                         factorization_sumrule(m1, m2, c, s, x, y, p, tolerance)
                     )
@@ -282,20 +231,15 @@ def factorization_sweep(
 
 
 def inner_product_moment_sweep(
-    mode: str = EXACT,
-    tolerance: float | None = None,
-    n_values: Sequence[int] = MOMENT_N_VALUES,
-    p_values: Sequence[Fraction] = MOMENT_P_VALUES,
-    m_max: int = M_MAX,
+    mode: str = EXACT, tolerance: float | None = None
 ) -> list[IdentityReport]:
     """Moment equality of the stochastic inner-product representation."""
+    p_values = in_mode(MOMENT_P_VALUES, mode)
     reports = []
-    for n in n_values:
-        pairs = exact_pair_pool(n, mode)[:3]
-        for xv, yv in pairs:
-            for big_m in range(m_max + 1):
-                for p_val in p_values:
-                    p = _param_scalar(p_val, mode)
+    for n in MOMENT_N_VALUES:
+        for xv, yv in exact_pair_pool(n, mode)[:MOMENT_PAIRS]:
+            for big_m in range(M_MAX + 1):
+                for p in p_values:
                     reports.append(
                         inner_product_moment_identity(big_m, xv, yv, p, tolerance)
                     )
@@ -309,19 +253,15 @@ def _reshape(flat: Vector, rows: int, cols: int) -> Matrix:
 
 
 def matrix_moment_sweep(
-    mode: str = EXACT,
-    tolerance: float | None = None,
-    shapes: Sequence[tuple[int, int]] = MATRIX_SHAPES,
-    m_max: int = M_MAX,
+    mode: str = EXACT, tolerance: float | None = None
 ) -> list[IdentityReport]:
     """Moment equality of the matrix trace representation."""
     reports = []
-    for rows, cols in shapes:
-        pairs = exact_pair_pool(rows * cols, mode)[:3]
-        for flat_x, flat_y in pairs:
+    for rows, cols in MATRIX_SHAPES:
+        for flat_x, flat_y in exact_pair_pool(rows * cols, mode)[:MOMENT_PAIRS]:
             xm = _reshape(flat_x, rows, cols)
             ym = _reshape(flat_y, rows, cols)
-            for big_m in range(m_max + 1):
+            for big_m in range(M_MAX + 1):
                 reports.append(matrix_moment_identity(big_m, xm, ym, tolerance))
     return reports
 
@@ -339,19 +279,19 @@ def grid_description(identity: str) -> dict[str, object]:
     """Self-describing summary of the built-in grid behind a sweep."""
     if identity == "graczyk":
         return {
-            "n": [1, 2, 3],
+            "n": list(GRACZYK_N_VALUES),
             "M": list(range(M_MAX + 1)),
             "p": [str(p) for p in P_GRID],
-            "pairs_per_n": {str(n): len(exact_pair_pool(n)) for n in (1, 2, 3)},
+            "pairs_per_n": {str(n): len(exact_pair_pool(n)) for n in GRACZYK_N_VALUES},
             "pair_construction": "collinear (w, lambda w) and half-sum "
             "((u+v)/2, (u-v)/2) over rational-norm vectors",
         }
     if identity == "rotation":
         return {
-            "n": [2, 3],
+            "n": list(ROTATION_VECTORS),
             "m": list(range(M_MAX + 1)),
             "p": str(ROTATION_P),
-            "t": [str(exact(re, im)) for re, im in GIVENS_T_VALUES],
+            "t": [str(t) for t in _givens_ts()],
             "products": "all Givens blocks and products of two and three",
         }
     if identity == "factorization":
@@ -369,7 +309,7 @@ def grid_description(identity: str) -> dict[str, object]:
             "M": list(range(M_MAX + 1)),
             "p": [str(p) for p in MOMENT_P_VALUES],
             "p_convention": "sqrt(p)",
-            "pairs_per_n": 3,
+            "pairs_per_n": MOMENT_PAIRS,
         }
     if identity == "matrix":
         return {

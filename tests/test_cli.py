@@ -6,6 +6,7 @@ import json
 import pytest
 
 from ghkernel.cli import canonical_json, main
+from ghkernel.identities import DEFAULT_FLOAT_TOLERANCE
 
 
 def run(capsys, *argv):
@@ -224,6 +225,38 @@ def test_sample_rejects_tiny_count(capsys):
     assert code == 2
 
 
-def test_verify_point_overrides_require_graczyk(capsys):
-    code, _, _ = run(capsys, "verify", "matrix", "--xv", "3,4", "--yv", "3,4")
+def test_sample_rejects_order_zero(capsys):
+    code, _, err = run(capsys, "sample", "inner-product", "--order", "0")
     assert code == 2
+    assert "--order must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("matrix", "--xv", "3,4", "--yv", "3,4"), id="matrix-xv-yv"),
+        pytest.param(("graczyk", "--p", "5"), id="graczyk-p-alone"),
+        pytest.param(("matrix", "--p", "5"), id="matrix-p-alone"),
+        pytest.param(("graczyk", "--xv", "3,4", "--p", "1"), id="graczyk-xv-without-yv"),
+    ],
+)
+def test_verify_point_overrides_require_graczyk(capsys, argv):
+    code, _, _ = run(capsys, "verify", *argv)
+    assert code == 2
+
+
+def test_verify_exact_mode_rejects_tolerance(tmp_path, capsys):
+    out_file = tmp_path / "exact.json"
+    code, _, err = run(capsys, "verify", "matrix", "--mode", "exact",
+                       "--tolerance", "1e-3", "--out", str(out_file))
+    assert code == 2
+    assert "exact mode has no tolerance" in err
+    assert not out_file.exists()
+
+
+def test_verify_float_mode_default_tolerance(tmp_path, capsys):
+    out_file = tmp_path / "float.json"
+    code, _, _ = run(capsys, "verify", "matrix", "--mode", "float",
+                     "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["tolerance"] == DEFAULT_FLOAT_TOLERANCE
