@@ -37,7 +37,13 @@ if TYPE_CHECKING:
 
 SPEC_VERSION = __version__
 
-SAMPLE_TARGETS = ("inner-product", "matrix", "chi-merge")
+# Each sample target's own options with their defaults; giving an option
+# of another target is a usage error.
+SAMPLE_OPTIONS: dict[str, dict[str, object]] = {
+    "inner-product": {"xv": "3,4", "yv": "3,4", "p": "1"},
+    "matrix": {"xm": "3,0;0,0", "ym": "0,4;0,0"},
+    "chi-merge": {"a": 3, "b": 4},
+}
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,20 @@ def _verdict_rows(verdicts) -> list[dict[str, object]]:
     ]
 
 
+def _target_options(args: argparse.Namespace) -> dict[str, object]:
+    """The target's options, defaults filled in; other targets' must be unset."""
+    for target, options in SAMPLE_OPTIONS.items():
+        if target == args.target:
+            continue
+        for name in options:
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} applies to sample {target}, not {args.target}")
+    return {
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in SAMPLE_OPTIONS[args.target].items()
+    }
+
+
 def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
     # Imported here so that eval and verify never load numpy.
     from .sampling import (
@@ -265,6 +285,7 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         mode=FLOAT, seed=args.seed, count=args.count, order=args.order, z=args.z
     )
     seed, count, order, z = config.seed, config.count, config.order, config.z
+    options = _target_options(args)
     if args.ks:
         # Load scipy before the samples exist.  Loaded after them, it raised
         # the peak RSS of `sample inner-product --ks --count 4000000` from
@@ -282,9 +303,9 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
     extra: dict[str, object] = {}
 
     if args.target == "inner-product":
-        xv = _parse_vector(args.xv, FLOAT)
-        yv = _parse_vector(args.yv, FLOAT)
-        p = _parse_real(args.p)
+        xv = _parse_vector(options["xv"], FLOAT)
+        yv = _parse_vector(options["yv"], FLOAT)
+        p = _parse_real(options["p"])
         if p < 0:
             raise ValueError("sampling needs p >= 0")
         pair = polarization_pair(xv, yv)
@@ -294,8 +315,8 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         rhs = inner_product_rhs_samples(pair, len(xv), p, rhs_stream, count)
         params.update(
             {
-                "xv": args.xv,
-                "yv": args.yv,
+                "xv": options["xv"],
+                "yv": options["yv"],
                 "p": p,
                 "p_convention": "sqrt(p)",
                 "pair_x": float(pair.x.re),
@@ -303,8 +324,8 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
             }
         )
     elif args.target == "matrix":
-        xm = _parse_matrix(args.xm, FLOAT)
-        ym = _parse_matrix(args.ym, FLOAT)
+        xm = _parse_matrix(options["xm"], FLOAT)
+        ym = _parse_matrix(options["ym"], FLOAT)
         pair = matrix_polarization(xm, ym)
         rows, cols = len(xm), len(xm[0])
         lhs = matrix_trace_samples(
@@ -316,8 +337,8 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         rhs = matrix_trace_rhs_samples(pair, rows * cols, rhs_stream, count)
         params.update(
             {
-                "xm": args.xm,
-                "ym": args.ym,
+                "xm": options["xm"],
+                "ym": options["ym"],
                 "shape": f"{rows}x{cols}",
                 "p_convention": "unit-variance noise",
                 "pair_x": float(pair.x.re),
@@ -325,7 +346,7 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
             }
         )
     else:  # chi-merge
-        a, b = args.a, args.b
+        a, b = options["a"], options["b"]
         if a < 1 or b < 1:
             raise ValueError("chi-merge needs --a >= 1 and --b >= 1")
         lhs = chi_merge_samples(lhs_stream, a, b, count)
@@ -432,20 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sample = sub.add_parser("sample", help="run a seeded Monte Carlo check")
-    p_sample.add_argument("target", choices=SAMPLE_TARGETS)
+    p_sample.add_argument("target", choices=tuple(SAMPLE_OPTIONS))
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--count", type=int, default=DEFAULT_COUNT)
     p_sample.add_argument("--order", type=int, default=DEFAULT_ORDER,
                           help="highest moment order to match")
     p_sample.add_argument("--z", type=float, default=DEFAULT_Z,
                           help="pass threshold in combined standard errors")
-    p_sample.add_argument("--xv", default="3,4", help="first vector (inner-product)")
-    p_sample.add_argument("--yv", default="3,4", help="second vector (inner-product)")
-    p_sample.add_argument("--p", default="1", help="noise scale p >= 0 (inner-product)")
-    p_sample.add_argument("--xm", default="3,0;0,0", help="first matrix (matrix)")
-    p_sample.add_argument("--ym", default="0,4;0,0", help="second matrix (matrix)")
-    p_sample.add_argument("--a", type=int, default=3, help="first dof (chi-merge)")
-    p_sample.add_argument("--b", type=int, default=4, help="second dof (chi-merge)")
+    p_sample.add_argument("--xv", help="first vector (inner-product)")
+    p_sample.add_argument("--yv", help="second vector (inner-product)")
+    p_sample.add_argument("--p", help="noise scale p >= 0 (inner-product)")
+    p_sample.add_argument("--xm", help="first matrix (matrix)")
+    p_sample.add_argument("--ym", help="second matrix (matrix)")
+    p_sample.add_argument("--a", type=int, help="first dof (chi-merge)")
+    p_sample.add_argument("--b", type=int, help="second dof (chi-merge)")
     p_sample.add_argument("--ks", action="store_true",
                           help="include the Kolmogorov-Smirnov diagnostic")
     p_sample.add_argument("--out", help="report path (default: stdout)")

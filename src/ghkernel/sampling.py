@@ -2,7 +2,10 @@
 
 Normal variates come from the Box-Muller transform over PCG64 uniforms, a
 fixed and documented layout, so a given (seed, stream_id, count) always
-reproduces the identical sample sequence.  Distribution equality is tested
+reproduces the identical sample sequence.  Each sampler draws its rows in
+bounded chunks, jumping the generator to each chunk's place in that layout,
+so its memory is the result vector plus a fixed budget of temporaries,
+whatever the count and the dimension.  Distribution equality is tested
 by matching empirical moments to order K within z combined standard errors;
 a two-sample Kolmogorov-Smirnov statistic is available as a secondary
 diagnostic.
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,39 +31,115 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self, offset: int = 0) -> np.random.Generator:
+        """The stream's generator, advanced past its first `offset` outputs.
+
+        Each call to `random` takes exactly one 64-bit output per double,
+        so `generator(k).random(m)` is the slice [k, k + m) of the
+        undivided stream.
+        """
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.PCG64(seq))
+        bits = np.random.PCG64(seq)
+        bits.advance(offset)
+        return np.random.Generator(bits)
 
     def child(self, stream_id: int) -> "RngStream":
         return RngStream(self.seed, stream_id)
 
 
-def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
-    # U1 is shifted to (0, 1] so the log never sees zero.
-    pairs = (count + 1) // 2
-    u1 = 1.0 - gen.random(pairs)
-    u2 = gen.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return out[:count]
+# Normals a sampler draws per chunk of rows, summed over its blocks.  It
+# bounds the temporaries whatever the row width; the samples do not
+# depend on it.
+_CHUNK_NORMALS = 1 << 16
+
+
+class _Block:
+    """Read cursor over one Box-Muller block of `size` normals.
+
+    The block's uniforms start at output `offset` of the stream: U1 of
+    pair j is output offset + j and U2 is output offset + pairs + j.
+    Normal i is the cosine of pair i for i < pairs, and the sine of pair
+    i - pairs after that, so both halves read the same uniforms.
+    """
+
+    def __init__(self, stream: RngStream, offset: int, size: int) -> None:
+        self.stream = stream
+        self.offset = offset
+        self.size = size
+        self.pairs = (size + 1) // 2
+        self.done = 0
+        self._rewind()
+
+    def _rewind(self) -> None:
+        self.u1 = self.stream.generator(self.offset)
+        self.u2 = self.stream.generator(self.offset + self.pairs)
+
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(U1, U2, is_cosine) of the next normals, at most `count` of them,
+        stopping at the end of the current half."""
+        if self.done == self.pairs:
+            self._rewind()
+        cosine = self.done < self.pairs
+        step = min(count, (self.pairs if cosine else self.size) - self.done)
+        self.done += step
+        return self.u1.random(step), self.u2.random(step), cosine
+
+
+def _blocks(stream: RngStream, *sizes: int) -> list[_Block]:
+    """Consecutive blocks in draw order; each takes 2 * pairs outputs."""
+    blocks = []
+    offset = 0
+    for size in sizes:
+        blocks.append(_Block(stream, offset, size))
+        offset += 2 * blocks[-1].pairs
+    return blocks
+
+
+def _row_chunks(count: int, width: int) -> Iterator[tuple[int, int]]:
+    """Row ranges [lo, hi) of [0, count), each drawing at most
+    `_CHUNK_NORMALS` normals (or one row) when a row draws `width`."""
+    step = max(1, _CHUNK_NORMALS // width)
+    return ((lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
+def _box_muller(block: _Block, count: int) -> np.ndarray:
+    """The next `count` normals of `block`, bit for bit as if drawn whole."""
+    parts = []
+    while count:
+        u1, u2, cosine = block.take(count)
+        count -= u1.size
+        # U1 is shifted to (0, 1] so the log never sees zero.
+        radius = np.sqrt(-2.0 * np.log(1.0 - u1))
+        angle = 2.0 * np.pi * u2
+        parts.append(radius * (np.cos(angle) if cosine else np.sin(angle)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _squared_norms(normals: np.ndarray) -> np.ndarray:
+    return (normals * normals).sum(axis=1)
 
 
 def sample_gaussian(stream: RngStream, count: int) -> np.ndarray:
     """i.i.d. standard normal variates, deterministic per stream."""
     if count < 0:
         raise ValueError("count must be a natural number")
-    return _box_muller(stream.generator(), count)
+    (block,) = _blocks(stream, count)
+    out = np.empty(count)
+    for lo, hi in _row_chunks(count, 1):
+        out[lo:hi] = _box_muller(block, hi - lo)
+    return out
 
 
 def sample_chi(stream: RngStream, k: int, count: int) -> np.ndarray:
     """chi_k variates: Euclidean norms of k-dimensional standard normals."""
     if k < 1:
         raise ValueError("chi needs at least one degree of freedom")
-    gen = stream.generator()
-    normals = _box_muller(gen, count * k).reshape(count, k)
-    return np.sqrt((normals * normals).sum(axis=1))
+    (block,) = _blocks(stream, count * k)
+    out = np.empty(count)
+    for lo, hi in _row_chunks(count, k):
+        normals = _box_muller(block, (hi - lo) * k).reshape(-1, k)
+        out[lo:hi] = np.sqrt(_squared_norms(normals))
+    return out
 
 
 def chi_even_moment(dof: int, j: int) -> Fraction:
@@ -77,12 +156,13 @@ def chi_merge_samples(stream: RngStream, a: int, b: int, count: int) -> np.ndarr
     """Samples of sqrt(chi_a^2 + chi_b^2) from independent blocks."""
     if a < 1 or b < 1:
         raise ValueError("both degree counts must be >= 1")
-    gen = stream.generator()
-    block_a = _box_muller(gen, count * a).reshape(count, a)
-    first = (block_a * block_a).sum(axis=1)
-    block_b = _box_muller(gen, count * b).reshape(count, b)
-    second = (block_b * block_b).sum(axis=1)
-    return np.sqrt(first + second)
+    block_a, block_b = _blocks(stream, count * a, count * b)
+    out = np.empty(count)
+    for lo, hi in _row_chunks(count, a + b):
+        first = _squared_norms(_box_muller(block_a, (hi - lo) * a).reshape(-1, a))
+        second = _squared_norms(_box_muller(block_b, (hi - lo) * b).reshape(-1, b))
+        out[lo:hi] = np.sqrt(first + second)
+    return out
 
 
 def _pair_floats(pair: PolarizationPair) -> tuple[float, float]:
@@ -105,12 +185,15 @@ def inner_product_lhs_samples(
         raise ValueError("need two equal-length vectors")
     if p < 0:
         raise ValueError("sampling needs p >= 0 (real sqrt(p))")
-    gen = stream.generator()
     root = math.sqrt(p)
     n = x.size
-    noise_x = _box_muller(gen, count * n).reshape(count, n)
-    noise_y = _box_muller(gen, count * n).reshape(count, n)
-    return ((x + root * noise_x) * (y + root * noise_y)).sum(axis=1)
+    block_x, block_y = _blocks(stream, count * n, count * n)
+    out = np.empty(count)
+    for lo, hi in _row_chunks(count, 2 * n):
+        noise_x = _box_muller(block_x, (hi - lo) * n).reshape(-1, n)
+        noise_y = _box_muller(block_y, (hi - lo) * n).reshape(-1, n)
+        out[lo:hi] = ((x + root * noise_x) * (y + root * noise_y)).sum(axis=1)
+    return out
 
 
 def inner_product_rhs_samples(
@@ -130,17 +213,21 @@ def inner_product_rhs_samples(
     if n < 1:
         raise ValueError("dimension must be at least 1")
     x, y = _pair_floats(pair)
-    gen = stream.generator()
     root = math.sqrt(p)
-    n1 = _box_muller(gen, count)
-    m1 = _box_muller(gen, count)
-    if n > 1:
-        normals = _box_muller(gen, count * (n - 1)).reshape(count, n - 1)
-        z = np.sqrt((normals * normals).sum(axis=1))
-    else:
-        z = np.zeros(count)
-    final = _box_muller(gen, count)
-    return (x + root * n1) * (y + root * m1) + p * z * final
+    # For n = 1 the chi block is empty and takes no outputs.
+    n1, m1, chi, final = _blocks(stream, count, count, count * (n - 1), count)
+    out = np.empty(count)
+    for lo, hi in _row_chunks(count, n + 2):
+        first = _box_muller(n1, hi - lo)
+        second = _box_muller(m1, hi - lo)
+        if n > 1:
+            normals = _box_muller(chi, (hi - lo) * (n - 1)).reshape(-1, n - 1)
+            z = np.sqrt(_squared_norms(normals))
+        else:
+            z = np.zeros(hi - lo)
+        last = _box_muller(final, hi - lo)
+        out[lo:hi] = (x + root * first) * (y + root * second) + p * z * last
+    return out
 
 
 def matrix_trace_samples(
@@ -154,12 +241,15 @@ def matrix_trace_samples(
     y = np.asarray(ym, dtype=float)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError("need two equal-shape matrices")
-    gen = stream.generator()
     rows, cols = x.shape
     size = rows * cols
-    noise_x = _box_muller(gen, count * size).reshape(count, rows, cols)
-    noise_y = _box_muller(gen, count * size).reshape(count, rows, cols)
-    return ((x + noise_x) * (y + noise_y)).sum(axis=(1, 2))
+    block_x, block_y = _blocks(stream, count * size, count * size)
+    out = np.empty(count)
+    for lo, hi in _row_chunks(count, 2 * size):
+        noise_x = _box_muller(block_x, (hi - lo) * size).reshape(-1, rows, cols)
+        noise_y = _box_muller(block_y, (hi - lo) * size).reshape(-1, rows, cols)
+        out[lo:hi] = ((x + noise_x) * (y + noise_y)).sum(axis=(1, 2))
+    return out
 
 
 def matrix_trace_rhs_samples(

@@ -234,6 +234,39 @@ def test_sample_rejects_order_zero(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        pytest.param(("matrix", "--p", "5", "--xv", "1,2,3"), id="matrix-p-xv"),
+        pytest.param(("matrix", "--b", "2"), id="matrix-b"),
+        pytest.param(("chi-merge", "--xm", "1"), id="chi-merge-xm"),
+        pytest.param(("chi-merge", "--p", "1"), id="chi-merge-p"),
+        pytest.param(("inner-product", "--ym", "1"), id="inner-product-ym"),
+        pytest.param(("inner-product", "--a", "2"), id="inner-product-a"),
+    ],
+)
+def test_sample_rejects_other_targets_options(capsys, argv):
+    code, _, err = run(capsys, "sample", *argv, "--count", "1000")
+    assert code == 2
+    assert f"not {argv[0]}" in err
+
+
+@pytest.mark.parametrize(
+    "target, defaults",
+    [
+        ("inner-product", ("--xv", "3,4", "--yv", "3,4", "--p", "1")),
+        ("matrix", ("--xm", "3,0;0,0", "--ym", "0,4;0,0")),
+        ("chi-merge", ("--a", "3", "--b", "4")),
+    ],
+)
+def test_sample_documented_defaults(tmp_path, capsys, target, defaults):
+    implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+    argv = ("sample", target, "--count", "1000", "--seed", "4")
+    run(capsys, *argv, "--out", str(implicit))
+    run(capsys, *argv, *defaults, "--out", str(explicit))
+    assert implicit.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         pytest.param(("matrix", "--xv", "3,4", "--yv", "3,4"), id="matrix-xv-yv"),
         pytest.param(("graczyk", "--p", "5"), id="graczyk-p-alone"),
         pytest.param(("matrix", "--p", "5"), id="matrix-p-alone"),

@@ -1,10 +1,11 @@
-"""Golden reports: every byte of the verify reports is pinned.
+"""Golden reports: every byte of the verify and sample reports is pinned.
 
 The SHA-256 digests below are of the report files `ghkernel verify` writes
-on the built-in grids and at three explicit points.  Any change to the
-mathematics, the enumeration order or the serialization changes a digest.
-The same exact reports then show that each `grid_description` tells the
-truth about the grid its sweep enumerates.
+on the built-in grids and at three explicit points, and of five seeded
+`ghkernel sample` reports.  Any change to the mathematics, the enumeration
+order, the draw layout or the serialization changes a digest.  The same
+exact reports then show that each `grid_description` tells the truth about
+the grid its sweep enumerates.
 """
 
 from __future__ import annotations
@@ -39,6 +40,25 @@ POINT_DIGESTS = {
         "d8cf3019b63aad79b115868a11189edccb86e97a61480c55cda75f056a9c2a99",
     ("--xv", "3,4", "--yv", "3,4"):
         "e2ba91d39e2960d322d5efaa93c0517472de82e154737004b36390970b667b23",
+}
+
+# An odd count large enough that every target draws its samples in
+# several chunks.
+SAMPLE_COUNT = "100001"
+SAMPLE_SEED = "7"
+
+SAMPLE_DIGESTS = {
+    ("inner-product", "--ks"):
+        "35d4c819c4587cd8478f72a2d249170c9ba37df112d25cba9a12db0b669b557d",
+    ("matrix",):
+        "bc4381e3edf9748a23f9586b03958f9ce4b6095bd45f389d1a71294b717ecf78",
+    ("chi-merge",):
+        "3cd80eee5cc36b8b93487c0ffa9050f590c08f8e4499cc99d2742f17629d65ad",
+    # n = 1: the right-hand side draws no chi block.
+    ("inner-product", "--xv", "2", "--yv", "5", "--format", "csv"):
+        "5cb53a78985abf23943b3539c93b387529cf4ca32cb0518f835634ed5b872edd",
+    ("matrix", "--xm", "1,2,3;4,5,6", "--ym", "0,1,0;1,0,1"):
+        "0aedcdb3fcb2eb89c66cc9342277b6c8a591cf667d315b45262cfd54033e31dd",
 }
 
 REPORT_COUNTS = {
@@ -90,6 +110,14 @@ def test_sweep_report_bytes_are_pinned(sweep_outputs, key):
 def test_explicit_point_report_bytes_are_pinned(tmp_path, argv):
     digest = _verify_sha256(tmp_path, "point.json", "graczyk", *argv)
     assert digest == POINT_DIGESTS[argv], RERECORD
+
+
+@pytest.mark.parametrize("argv", SAMPLE_DIGESTS, ids=" ".join)
+def test_sample_report_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "sample.report"
+    seeded = ["--count", SAMPLE_COUNT, "--seed", SAMPLE_SEED, "--out", str(out)]
+    assert main(["sample", *argv, *seeded]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_DIGESTS[argv], RERECORD
 
 
 def _params(exact, identity: str) -> list[dict[str, str]]:

@@ -1,11 +1,13 @@
 """Seeded Monte Carlo engine: reproducibility and moment matching."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ghkernel import sampling
 from ghkernel import (
     RngStream,
     chi_even_moment,
@@ -272,3 +274,170 @@ def test_mutation_moments_without_half_p_are_caught():
         }
         verdicts = moment_match_exact(stats, targets, z=5.0)
         assert all(v.passed for v in verdicts) is should_pass
+
+
+# -- chunked drawing ------------------------------------------------------
+#
+# The samplers draw in chunks of rows.  The references below materialise
+# every block whole, in the one draw layout, and the chunked samplers must
+# reproduce them bit for bit.
+
+
+def _reference_generator(stream):
+    seq = np.random.SeedSequence(entropy=stream.seed, spawn_key=(stream.stream_id,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _reference_box_muller(gen, count):
+    pairs = (count + 1) // 2
+    u1 = 1.0 - gen.random(pairs)
+    u2 = gen.random(pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return out[:count]
+
+
+def _reference_squared_norms(gen, count, k):
+    normals = _reference_box_muller(gen, count * k).reshape(count, k)
+    return (normals * normals).sum(axis=1)
+
+
+def _reference_gaussian(stream, count):
+    return _reference_box_muller(_reference_generator(stream), count)
+
+
+def _reference_chi(stream, k, count):
+    return np.sqrt(_reference_squared_norms(_reference_generator(stream), count, k))
+
+
+def _reference_chi_merge(stream, a, b, count):
+    gen = _reference_generator(stream)
+    first = _reference_squared_norms(gen, count, a)
+    second = _reference_squared_norms(gen, count, b)
+    return np.sqrt(first + second)
+
+
+def _reference_lhs(xv, yv, p, stream, count):
+    x, y = np.asarray(xv, dtype=float), np.asarray(yv, dtype=float)
+    gen = _reference_generator(stream)
+    root = math.sqrt(p)
+    noise_x = _reference_box_muller(gen, count * x.size).reshape(count, x.size)
+    noise_y = _reference_box_muller(gen, count * x.size).reshape(count, x.size)
+    return ((x + root * noise_x) * (y + root * noise_y)).sum(axis=1)
+
+
+def _reference_rhs(pair, n, p, stream, count):
+    x, y = float(pair.x.re), float(pair.y.re)
+    gen = _reference_generator(stream)
+    root = math.sqrt(p)
+    n1 = _reference_box_muller(gen, count)
+    m1 = _reference_box_muller(gen, count)
+    if n > 1:
+        z = np.sqrt(_reference_squared_norms(gen, count, n - 1))
+    else:
+        z = np.zeros(count)
+    final = _reference_box_muller(gen, count)
+    return (x + root * n1) * (y + root * m1) + p * z * final
+
+
+def _reference_matrix(xm, ym, stream, count):
+    x, y = np.asarray(xm, dtype=float), np.asarray(ym, dtype=float)
+    gen = _reference_generator(stream)
+    shape = (count, *x.shape)
+    noise_x = _reference_box_muller(gen, count * x.size).reshape(shape)
+    noise_y = _reference_box_muller(gen, count * x.size).reshape(shape)
+    return ((x + noise_x) * (y + noise_y)).sum(axis=(1, 2))
+
+
+PAIR_3 = polarization_pair((flt(3), flt(4), flt(1)), (flt(1), flt(-2), flt(2)))
+XM_3X3 = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+YM_3X3 = [[0, 1, 0], [1, 0, 1], [2, 2, 2]]
+
+# name: (normals per row, sampler, reference), both called as (stream, count)
+CHUNKED = {
+    "gaussian": (1, sample_gaussian, _reference_gaussian),
+    "chi-9": (
+        9,
+        lambda stream, count: sample_chi(stream, 9, count),
+        lambda stream, count: _reference_chi(stream, 9, count),
+    ),
+    "chi-merge-3-8": (
+        11,
+        lambda stream, count: chi_merge_samples(stream, 3, 8, count),
+        lambda stream, count: _reference_chi_merge(stream, 3, 8, count),
+    ),
+    "lhs-3": (
+        6,
+        lambda stream, count: inner_product_lhs_samples([3, 4, 1], [1, -2, 2], 0.7, stream, count),
+        lambda stream, count: _reference_lhs([3, 4, 1], [1, -2, 2], 0.7, stream, count),
+    ),
+    "rhs-3": (
+        5,
+        lambda stream, count: inner_product_rhs_samples(PAIR_3, 3, 0.7, stream, count),
+        lambda stream, count: _reference_rhs(PAIR_3, 3, 0.7, stream, count),
+    ),
+    "rhs-1": (
+        3,
+        lambda stream, count: inner_product_rhs_samples(PAIR_3, 1, 0.7, stream, count),
+        lambda stream, count: _reference_rhs(PAIR_3, 1, 0.7, stream, count),
+    ),
+    "matrix-3x3": (
+        18,
+        lambda stream, count: matrix_trace_samples(XM_3X3, YM_3X3, stream, count),
+        lambda stream, count: _reference_matrix(XM_3X3, YM_3X3, stream, count),
+    ),
+    "matrix-1x3": (
+        6,
+        lambda stream, count: matrix_trace_samples([[1, 2, 3]], [[0, 1, 0]], stream, count),
+        lambda stream, count: _reference_matrix([[1, 2, 3]], [[0, 1, 0]], stream, count),
+    ),
+    "matrix-rhs-9": (
+        11,
+        lambda stream, count: matrix_trace_rhs_samples(PAIR_3, 9, stream, count),
+        lambda stream, count: _reference_rhs(PAIR_3, 9, 1.0, stream, count),
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 5], ids=["default-budget", "budget-5"])
+@pytest.mark.parametrize("name", CHUNKED)
+def test_chunked_samplers_match_materialised_draws(monkeypatch, budget, name):
+    if budget is not None:
+        monkeypatch.setattr(sampling, "_CHUNK_NORMALS", budget)
+    width, sampler, reference = CHUNKED[name]
+    rows = max(1, sampling._CHUNK_NORMALS // width)
+    stream = RngStream(91, 3)
+    for count in sorted({1, 2, 1001, rows - 1, rows, rows + 1} - {0}):
+        got = sampler(stream, count)
+        want = reference(stream, count)
+        assert got.shape == want.shape == (count,)
+        assert got.tobytes() == want.tobytes(), (name, count)
+
+
+def test_advance_addresses_the_undivided_stream():
+    """The chunks rest on this: advance(k), then random(m), reads [k, k + m)."""
+    seq = np.random.SeedSequence(entropy=5, spawn_key=(1,))
+    whole = np.random.Generator(np.random.PCG64(seq)).random(4096)
+    stream = RngStream(5, 1)
+    for k, m in ((0, 7), (1, 1), (333, 1000), (4095, 1)):
+        bits = np.random.PCG64(seq)
+        bits.advance(k)
+        assert np.random.Generator(bits).random(m).tobytes() == whole[k:k + m].tobytes()
+        assert stream.generator(k).random(m).tobytes() == whole[k:k + m].tobytes()
+
+
+def test_chi_sampling_memory_does_not_grow_with_dimension():
+    count = 200_000
+    peaks = {}
+    for k in (2, 16, 64):
+        tracemalloc.start()
+        try:
+            sample_chi(RngStream(1, 0), k, count)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # The result vector, plus temporaries bounded by the chunk budget.
+    bound = 2 * count * 8 + 8 * sampling._CHUNK_NORMALS * 8
+    assert max(peaks.values()) < bound, peaks
+    assert peaks[64] <= 1.25 * peaks[2], peaks
