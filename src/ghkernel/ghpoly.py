@@ -8,14 +8,15 @@ equal to the shifted Gaussian moment E (x + sigma N)^m with sigma^2 = 2p.
 Three independent evaluation routes are provided (direct sum, three-term
 recurrence, moment expansion); in exact mode they must agree to the bit.
 
-Exact mode runs the recurrence on plain ints.  Homogeneity,
+The recurrence runs on pairs (re, im), in both modes.  Homogeneity,
 
     g_m(lam x, lam^2 p) = lam^m g_m(x, p),
 
 moves every denominator of x and p into one power of lam: with lam a common
 denominator, X = lam x and P = lam^2 p are Gaussian integers, the row
 G_k = g_k(X, P) is built with int arithmetic only, and g_k(x, p) = G_k / lam^k
-is divided out once, at the end.
+is divided out once, at the end.  In float mode lam = 1, the pairs hold
+doubles, and the one division at the end is a float division.
 """
 
 from __future__ import annotations
@@ -25,23 +26,27 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .multiindex import MultiIndex
-from .scalars import EXACT, ModeMismatchError, Scalar, lift, one, zero
+from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, lift, one, zero
 
-# A Gaussian integer a + b i as the int pair (a, b).
+# A Gaussian integer a + b i as the int pair (a, b); in float mode the
+# pair holds doubles.
 GaussianInt = tuple[int, int]
 
 
-def _common_mode(x: Scalar, p: Scalar) -> str:
-    if x.mode != p.mode:
-        raise ModeMismatchError("argument and parameter must share a mode")
-    return x.mode
+def common_mode(*values: Scalar) -> str:
+    """The mode every value shares; an exact and a float value raise
+    ModeMismatchError."""
+    mode = values[0].mode
+    if any(v.mode != mode for v in values):
+        raise ModeMismatchError("exact and float scalars cannot meet in one evaluation")
+    return mode
 
 
 def gh_eval(m: int, x: Scalar, p: Scalar) -> Scalar:
     """Direct gap-2 sum; the reference evaluation path."""
     if m < 0:
         raise ValueError("degree must be a natural number")
-    mode = _common_mode(x, p)
+    mode = common_mode(x, p)
     total = zero(mode)
     m_fact = math.factorial(m)
     for k in range(m // 2 + 1):
@@ -53,43 +58,35 @@ def gh_eval(m: int, x: Scalar, p: Scalar) -> Scalar:
 def gh_eval_recurrence(m: int, x: Scalar, p: Scalar) -> Scalar:
     """Three-term path: g_0 = 1, g_1 = x, g_{m+1} = x g_m + 2p m g_{m-1}.
 
-    Exact mode runs it on Gaussian integers (gaussian_row) and divides once.
+    Runs as gaussian_row on the pairs of lam x and lam^2 p and divides once.
     """
     if m < 0:
         raise ValueError("degree must be a natural number")
-    mode = _common_mode(x, p)
-    if mode == EXACT:
-        lam = clearing_scale(x, p)
-        row = gaussian_row(m, scale_to_gaussian(x, lam), scale_to_gaussian(p, lam * lam))
-        re, im = row[m]
-        return from_gaussian(re, im, lam**m)
-    if m == 0:
-        return one(mode)
-    two_p = lift(2, mode) * p
-    prev, cur = one(mode), x
-    for degree in range(1, m):
-        prev, cur = cur, x * cur + two_p * lift(degree, mode) * prev
-    return cur
+    lam = clearing_scale(x, p)
+    row = gaussian_row(m, scale_to_gaussian(x, lam), scale_to_gaussian(p, lam * lam))
+    re, im = row[m]
+    return from_gaussian(re, im, lam**m, x.mode)
 
 
 def clearing_scale(*values: Scalar) -> int:
     """Least lam > 0 such that lam * v is a Gaussian integer for every value.
 
-    Exact mode only: a float scalar raises ModeMismatchError.
+    Float mode needs no clearing: lam = 1.  Mixed modes raise
+    ModeMismatchError.
     """
-    dens = []
-    for v in values:
-        if v.mode != EXACT:
-            raise ModeMismatchError("the integer kernel needs exact-mode scalars")
-        dens.append(v.re.denominator)
-        dens.append(v.im.denominator)
-    return math.lcm(*dens)
+    if common_mode(*values) == FLOAT:
+        return 1
+    # A list, not a generator: unpacking a generator grows its tuple by
+    # resizing, and the grown tuples pile up in CPython's tuple free list
+    # (0.4 MB over the exact rotation sweep).
+    return math.lcm(*[d for v in values for d in (v.re.denominator, v.im.denominator)])
 
 
 def scale_to_gaussian(v: Scalar, lam: int) -> GaussianInt:
-    """lam * v as a Gaussian integer; lam must clear v's denominators."""
-    if v.mode != EXACT:
-        raise ModeMismatchError("the integer kernel needs exact-mode scalars")
+    """lam * v as a pair: ints in exact mode, where lam must clear v's
+    denominators, and doubles in float mode."""
+    if v.mode == FLOAT:
+        return v.re * lam, v.im * lam
     re_q, re_r = divmod(lam, v.re.denominator)
     im_q, im_r = divmod(lam, v.im.denominator)
     if re_r or im_r:
@@ -97,14 +94,17 @@ def scale_to_gaussian(v: Scalar, lam: int) -> GaussianInt:
     return v.re.numerator * re_q, v.im.numerator * im_q
 
 
-def from_gaussian(re: int, im: int, den: int) -> Scalar:
-    """The exact scalar (re + im i) / den, reduced."""
+def from_gaussian(re: int, im: int, den: int, mode: str) -> Scalar:
+    """The scalar (re + im i) / den: reduced Fractions in exact mode, one
+    float division per part in float mode."""
+    if mode == FLOAT:
+        return Scalar(FLOAT, re / den, im / den)
     return Scalar(EXACT, Fraction(re, den), Fraction(im, den))
 
 
 def gaussian_row(m_max: int, x: GaussianInt, p: GaussianInt) -> list[GaussianInt]:
-    """g_0(x, p) .. g_{m_max}(x, p) at Gaussian integers, in one pass of
-    g_{k+1} = x g_k + 2p k g_{k-1} on int pairs."""
+    """g_0(x, p) .. g_{m_max}(x, p) at Gaussian integers (or double pairs),
+    in one pass of g_{k+1} = x g_k + 2p k g_{k-1} on pairs."""
     if m_max < 0:
         raise ValueError("degree must be a natural number")
     xr, xi = x
@@ -154,7 +154,7 @@ def gh_moment_oracle(m: int, x: Scalar, p: Scalar) -> Scalar:
     """
     if m < 0:
         raise ValueError("degree must be a natural number")
-    mode = _common_mode(x, p)
+    mode = common_mode(x, p)
     sigma_sq = lift(2, mode) * p
     total = zero(mode)
     for k in range(m // 2 + 1):

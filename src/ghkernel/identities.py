@@ -6,10 +6,11 @@ exact mode a report passes only with a literally zero residual; in float
 mode it passes when the relative residual stays under the caller's
 tolerance.  Nothing in this module is randomized.
 
-In exact mode each sum-rule side is evaluated over Gaussian integers: the
-inputs are scaled to a common denominator, every term is accumulated as an
-int pair (see ``ghpoly.gaussian_row``), and the side becomes a Scalar once,
-by a single division at its end.  Float mode runs the Scalar code.
+Each sum-rule side is one loop over pairs, in both modes.  In exact mode
+the inputs are scaled to a common denominator, so every term is a Gaussian
+integer accumulated as an int pair (see ``ghpoly.gaussian_row``); in float
+mode the scale is 1 and the pairs hold doubles.  Either way the side becomes
+a Scalar once, by a single division at its end.
 """
 
 from __future__ import annotations
@@ -22,16 +23,12 @@ from typing import Sequence
 from .ghpoly import (
     GaussianInt,
     clearing_scale,
+    common_mode,
     from_gaussian,
     gaussian_row,
     scale_to_gaussian,
 )
-
-# The recurrence path is the numerically accurate float evaluator (the
-# direct sum cancels catastrophically in the oscillatory regime); in exact
-# mode the two are interchangeable, which the polynomial tests enforce.
-from .ghpoly import gh_eval_recurrence as _gh
-from .multiindex import compositions, mi_factorial, multinomial, pochhammer
+from .multiindex import compositions, multinomial
 from .scalars import (
     EXACT,
     FLOAT,
@@ -169,7 +166,7 @@ def _check_rectangular(a: Matrix) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-integer helpers for the exact sides
+# Gaussian-integer (float mode: double) pair helpers for the sides
 
 
 def _gmul(u: GaussianInt, v: GaussianInt) -> GaussianInt:
@@ -250,30 +247,10 @@ def matrix_polarization(xm: Matrix, ym: Matrix) -> PolarizationPair:
 # Graczyk inner-product sum rule
 
 
-def _gh_table(degree_max: int, v: Sequence[Scalar], p: Scalar) -> list[list[Scalar]]:
-    """Per-coordinate evaluations for all degrees up to degree_max."""
-    return [[_gh(d, coord, p) for d in range(degree_max + 1)] for coord in v]
-
-
 def graczyk_lhs(M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Scalar) -> Scalar:
     """sum_{|m|=M} g_m(xv, p) g_m(yv, p) / m! over all compositions."""
     if len(xv) != len(yv):
         raise ValueError("dimension mismatch")
-    mode = p.mode
-    if mode == EXACT:
-        return _graczyk_lhs_exact(M, xv, yv, p)
-    table_x = _gh_table(M, xv, p)
-    table_y = _gh_table(M, yv, p)
-    total = zero(mode)
-    for m in compositions(M, len(xv)):
-        term = one(mode)
-        for j, mj in enumerate(m):
-            term = term * table_x[j][mj] * table_y[j][mj]
-        total = total + term / lift(mi_factorial(m), mode)
-    return total
-
-
-def _graczyk_lhs_exact(M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Scalar) -> Scalar:
     # With lam clearing xv, yv and p, each term g_m(xv) g_m(yv) is an
     # integer over lam^(2M); scaling by M! turns 1/m! into M!/m!.
     lam = clearing_scale(*xv, *yv, p)
@@ -284,29 +261,13 @@ def _graczyk_lhs_exact(M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Sc
         row_y = gaussian_row(M, scale_to_gaussian(yc, lam), p_int)
         tables.append([_gmul(gx, gy) for gx, gy in zip(row_x, row_y)])
     re, im = _multinomial_sum(M, tables)
-    return from_gaussian(re, im, math.factorial(M) * lam ** (2 * M))
+    return from_gaussian(re, im, math.factorial(M) * lam ** (2 * M), p.mode)
 
 
 def graczyk_rhs(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Scalar:
     """sum_j (2p)^(2j) / (j!(M-2j)!) ((n-1)/2)_j g_{M-2j}(x,p) g_{M-2j}(y,p)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    mode = p.mode
-    if mode == EXACT:
-        return _graczyk_rhs_exact(M, pair, n, p)
-    half_dof = lift(Fraction(n - 1, 2), mode)
-    two_p = lift(2, mode) * p
-    total = zero(mode)
-    for j in range(M // 2 + 1):
-        denom = math.factorial(j) * math.factorial(M - 2 * j)
-        weight = two_p ** (2 * j) / lift(denom, mode) * pochhammer(half_dof, j)
-        total = total + weight * _gh(M - 2 * j, pair.x, p) * _gh(
-            M - 2 * j, pair.y, p
-        )
-    return total
-
-
-def _graczyk_rhs_exact(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Scalar:
     # With P = lam^2 p, (2p)^(2j) ((n-1)/2)_j is 2^j P^(2j) (n-1)(n+1)...(n+2j-3)
     # over lam^(4j), and g_{M-2j}(x) g_{M-2j}(y) carries lam^(2M-4j): every
     # term is an integer over lam^(2M), and M!/(j!(M-2j)!) is an integer.
@@ -327,7 +288,7 @@ def _graczyk_rhs_exact(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Sca
         im += coeff * term[1]
         weight = _gmul(weight, two_p_sq)
         weight = (weight[0] * (n - 1 + 2 * j), weight[1] * (n - 1 + 2 * j))
-    return from_gaussian(re, im, m_fact * lam ** (2 * M))
+    return from_gaussian(re, im, m_fact * lam ** (2 * M), p.mode)
 
 
 def graczyk_identity(
@@ -470,44 +431,16 @@ def rotation_sumrule(
 ) -> IdentityReport:
     """g_m((O xv)_i, p) against its multinomial expansion over rows of O."""
     n = len(o)
-    if len(xv) != n:
+    if len(xv) != n or any(len(row) != n for row in o):
         raise ValueError("dimension mismatch")
     if not (0 <= i < n):
         raise IndexError("row index out of range")
-    mode = p.mode
-    if mode == EXACT:
-        lhs, rhs = _rotation_sides_exact(m, o, i, xv, p)
-    else:
-        rotated = mat_vec(o, xv)
-        lhs = _gh(m, rotated[i], p)
-        table = _gh_table(m, xv, p)
-        powers = [[o[i][j] ** d for d in range(m + 1)] for j in range(n)]
-        rhs = zero(mode)
-        for mi in compositions(m, n):
-            term = lift(multinomial(m, mi), mode)
-            for j, mj in enumerate(mi):
-                term = term * powers[j][mj] * table[j][mj]
-            rhs = rhs + term
-    params = {
-        "m": str(m),
-        "n": str(n),
-        "i": str(i),
-        "p": str(p),
-        "xv": _fmt_vector(xv),
-        "rotation": label if label is not None else _fmt_matrix(o),
-    }
-    return make_report("rotation", params, lhs, rhs, tolerance)
-
-
-def _rotation_sides_exact(
-    m: int, o: Matrix, i: int, xv: Sequence[Scalar], p: Scalar
-) -> tuple[Scalar, Scalar]:
     # With O = W / den_o and xv = X / lam, (O xv)_i is an integer over
     # den_o lam, and each term prod_j O_ij^(m_j) g_(m_j)(x_j, p) an integer
     # over (den_o lam)^m: both sides share that denominator.
-    if any(len(row) != len(xv) for row in o):
-        raise ValueError("dimension mismatch")
-    den_o = clearing_scale(*(entry for row in o for entry in row))
+    entries = [entry for row in o for entry in row]
+    mode = common_mode(*entries, *xv, p)
+    den_o = clearing_scale(*entries)
     lam = clearing_scale(*xv, p)
     scale = den_o * lam
     w = [scale_to_gaussian(entry, den_o) for entry in o[i]]
@@ -524,7 +457,17 @@ def _rotation_sides_exact(
         tables.append([_gmul(pw, g) for pw, g in zip(_gpowers(wj, m), row)])
     rhs_re, rhs_im = _multinomial_sum(m, tables)
     den = scale**m
-    return from_gaussian(lhs_re, lhs_im, den), from_gaussian(rhs_re, rhs_im, den)
+    lhs = from_gaussian(lhs_re, lhs_im, den, mode)
+    rhs = from_gaussian(rhs_re, rhs_im, den, mode)
+    params = {
+        "m": str(m),
+        "n": str(n),
+        "i": str(i),
+        "p": str(p),
+        "xv": _fmt_vector(xv),
+        "rotation": label if label is not None else _fmt_matrix(o),
+    }
+    return make_report("rotation", params, lhs, rhs, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +483,11 @@ def coeff_C(m1: int, m2: int, r: int, c: Scalar, s: Scalar) -> Scalar:
     """
     if not (0 <= r <= m1 + m2):
         raise ValueError("r must lie in [0, m1+m2]")
-    mode = c.mode
-    if mode == EXACT:
-        den = clearing_scale(c, s)
-        c_pows = _gpowers(scale_to_gaussian(c, den), m1 + m2)
-        s_pows = _gpowers(scale_to_gaussian(s, den), m1 + m2)
-        re, im = _coeff_C_gaussian(m1, m2, r, c_pows, s_pows)
-        return from_gaussian(re, im, den ** (m1 + m2))
-    total = zero(mode)
-    for l in range(min(m2, r) + 1):
-        b1 = math.comb(m1, r - l) if r - l <= m1 else 0
-        if b1 == 0:
-            continue
-        weight = b1 * math.comb(m2, l) * (-1) ** (m1 - r + l)
-        total = total + lift(weight, mode) * c ** (m2 + r - 2 * l) * s ** (
-            m1 - r + 2 * l
-        )
-    return total
+    den = clearing_scale(c, s)
+    c_pows = _gpowers(scale_to_gaussian(c, den), m1 + m2)
+    s_pows = _gpowers(scale_to_gaussian(s, den), m1 + m2)
+    re, im = _coeff_C_gaussian(m1, m2, r, c_pows, s_pows)
+    return from_gaussian(re, im, den ** (m1 + m2), c.mode)
 
 
 def _coeff_C_gaussian(
@@ -583,17 +514,29 @@ def _coeff_C_gaussian(
     return re, im
 
 
-def _factorization_sides_exact(
-    m1: int, m2: int, c: Scalar, s: Scalar, x: Scalar, y: Scalar, p: Scalar
-) -> tuple[Scalar, Scalar]:
+def factorization_sumrule(
+    m1: int,
+    m2: int,
+    c: Scalar,
+    s: Scalar,
+    x: Scalar,
+    y: Scalar,
+    p: Scalar,
+    tolerance: float | None = None,
+) -> IdentityReport:
+    """g_{m1}(cx-sy, p) g_{m2}(sx+cy, p) against its connection expansion."""
     # With (c, s) = (cc, ss) / k and (x, y) = (X, Y) / lam, cx - sy and
     # sx + cy are integers over k lam, C_{m1,m2,r} is an integer over
     # k^(m1+m2), and both sides share the denominator (k lam)^(m1+m2).
+    mode = common_mode(c, s, x, y, p)
     k = clearing_scale(c, s)
     cc, ss = scale_to_gaussian(c, k), scale_to_gaussian(s, k)
     c_sq, s_sq = _gmul(cc, cc), _gmul(ss, ss)
-    if (c_sq[0] + s_sq[0], c_sq[1] + s_sq[1]) != (k * k, 0):
-        raise ValueError("c^2 + s^2 must equal 1 exactly")
+    gap = (c_sq[0] + s_sq[0] - k * k, c_sq[1] + s_sq[1])
+    # The one mode-dependent check: exact mode allows no gap, float mode
+    # allows rounding.
+    if gap != (0, 0) if mode == EXACT else math.hypot(*gap) > 1e-12:
+        raise ValueError("c^2 + s^2 must equal 1")
     lam = clearing_scale(x, y, p)
     x_int, y_int = scale_to_gaussian(x, lam), scale_to_gaussian(y, lam)
     total = m1 + m2
@@ -615,33 +558,8 @@ def _factorization_sides_exact(
         rhs_re += term[0]
         rhs_im += term[1]
     den = scale**total
-    return from_gaussian(lhs_re, lhs_im, den), from_gaussian(rhs_re, rhs_im, den)
-
-
-def factorization_sumrule(
-    m1: int,
-    m2: int,
-    c: Scalar,
-    s: Scalar,
-    x: Scalar,
-    y: Scalar,
-    p: Scalar,
-    tolerance: float | None = None,
-) -> IdentityReport:
-    """g_{m1}(cx-sy, p) g_{m2}(sx+cy, p) against its connection expansion."""
-    mode = p.mode
-    if mode == EXACT:
-        lhs, rhs = _factorization_sides_exact(m1, m2, c, s, x, y, p)
-    else:
-        unit = one(mode)
-        if magnitude(c * c + s * s - unit) > 1e-12:
-            raise ValueError("c^2 + s^2 must equal 1")
-        lhs = _gh(m1, c * x - s * y, p) * _gh(m2, s * x + c * y, p)
-        rhs = zero(mode)
-        for r in range(m1 + m2 + 1):
-            rhs = rhs + coeff_C(m1, m2, r, c, s) * _gh(r, x, p) * _gh(
-                m1 + m2 - r, y, p
-            )
+    lhs = from_gaussian(lhs_re, lhs_im, den, mode)
+    rhs = from_gaussian(rhs_re, rhs_im, den, mode)
     params = {
         "m1": str(m1),
         "m2": str(m2),

@@ -114,7 +114,8 @@ def test_verify_float_mode_with_tolerance(tmp_path, capsys):
 
 def test_verify_impossible_tolerance_exits_1(tmp_path, capsys):
     out_file = tmp_path / "fail.json"
-    code, _, err = run(capsys, "verify", "matrix", "--mode", "float",
+    # Float matrix residuals are exactly 0; factorization keeps nonzero ones.
+    code, _, err = run(capsys, "verify", "factorization", "--mode", "float",
                        "--tolerance", "1e-30", "--out", str(out_file))
     assert code == 1
     assert "FAILURES" in err

@@ -1,10 +1,11 @@
-"""The exact integer kernel against independent Scalar references.
+"""The pair kernel against independent Scalar references.
 
-Every exact sum-rule side is evaluated over Gaussian integers and divided
-once at the end.  The references below use only the direct gap-2 sum
-(`gh_eval`) and Scalar arithmetic, so a kernel that returned wrong (or
-trivially equal) sides would disagree with them.  The mutation controls
-show each exact check able to fail on a wrong identity.
+Every sum-rule side is one loop over pairs: Gaussian integers in exact mode,
+doubles in float mode, divided once at the end.  The references below use
+only the direct gap-2 sum (`gh_eval`) and Scalar arithmetic, so a kernel
+that returned wrong (or trivially equal) sides would disagree with them.
+Each float side is held to its exact value, and the mutation controls show
+each check able to fail on a wrong identity, in both modes.
 """
 
 import itertools
@@ -14,14 +15,17 @@ from fractions import Fraction
 import pytest
 
 from ghkernel import (
+    EXACT,
     FAIL,
+    FLOAT,
+    WITHIN_TOLERANCE,
     ModeMismatchError,
     PolarizationPair,
+    Scalar,
     coeff_C,
     complex_givens,
     exact,
     factorization_sumrule,
-    flt,
     gh_eval,
     gh_eval_recurrence,
     gh_moment_oracle,
@@ -32,9 +36,10 @@ from ghkernel import (
     mat_identity,
     polarization_pair,
     rotation_sumrule,
+    to_float,
 )
 from ghkernel.ghpoly import clearing_scale, gaussian_row, scale_to_gaussian
-from ghkernel.identities import make_report
+from ghkernel.identities import IdentityReport, make_report
 
 ONE = exact(1)
 ZERO = exact(0)
@@ -60,9 +65,56 @@ VECTOR_PAIRS = (
 )
 
 
+GRACZYK_RHS_PAIRS = (
+    (exact(q(5, 2)), exact(q(-1, 3))),
+    (ZERO, exact(q(4, 7))),
+    (exact(q(1, 6), q(1, 4)), exact(-2, q(2, 3))),
+)
+
+# Each rotation side is checked on its own, so O need not be orthogonal.
+ROTATIONS = (
+    complex_givens(3, 0, 2, exact(q(1, 2), q(1, 3))),
+    (
+        (exact(q(1, 2)), exact(q(-2, 3), 1), ZERO),
+        (exact(3), exact(q(1, 5)), exact(0, q(-1, 4))),
+        (ZERO, exact(q(7, 3)), exact(1, 1)),
+    ),
+    mat_identity(3, "exact"),
+)
+ROTATION_XV = (exact(q(1, 2)), ZERO, exact(q(-4, 3), q(1, 7)))
+
+
 def cayley(t):
     unit = exact(1)
     return (unit - t * t) / (unit + t * t), (t + t) / (unit + t * t)
+
+
+CS_PAIRS = (
+    (exact(q(3, 5)), exact(q(-4, 5))),
+    (ONE, ZERO),
+    cayley(exact(q(1, 3), q(1, 2))),
+    cayley(exact(0, q(1, 2))),
+)
+
+FACTORIZATION_POINTS = (
+    (ZERO, exact(q(3, 4)), P_VALUES[0]),
+    (exact(q(2, 3)), exact(q(-1, 5)), ZERO),
+    (exact(q(1, 2), 1), ZERO, exact(q(-5, 4))),
+)
+
+
+def as_mode(value, mode):
+    """value with its exact scalars (alone, in tuples or in a polarization
+    pair) converted to float in float mode; anything else is kept."""
+    if mode == EXACT:
+        return value
+    if isinstance(value, tuple):
+        return tuple(as_mode(v, mode) for v in value)
+    if isinstance(value, PolarizationPair):
+        return PolarizationPair(to_float(value.x), to_float(value.y))
+    if isinstance(value, Scalar):
+        return to_float(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +202,7 @@ def test_graczyk_lhs_matches_reference():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_graczyk_rhs_matches_reference(n):
-    pairs = (
-        (exact(q(5, 2)), exact(q(-1, 3))),
-        (ZERO, exact(q(4, 7))),
-        (exact(q(1, 6), q(1, 4)), exact(-2, q(2, 3))),
-    )
-    for x, y in pairs:
+    for x, y in GRACZYK_RHS_PAIRS:
         pair = PolarizationPair(x, y)
         for p in P_VALUES:
             for big_m in range(7):
@@ -163,30 +210,14 @@ def test_graczyk_rhs_matches_reference(n):
 
 
 def test_rotation_sides_match_reference():
-    givens = complex_givens(3, 0, 2, exact(q(1, 2), q(1, 3)))
-    # Each side is checked on its own, so O need not be orthogonal here.
-    skew = (
-        (exact(q(1, 2)), exact(q(-2, 3), 1), ZERO),
-        (exact(3), exact(q(1, 5)), exact(0, q(-1, 4))),
-        (ZERO, exact(q(7, 3)), exact(1, 1)),
-    )
-    xv = (exact(q(1, 2)), ZERO, exact(q(-4, 3), q(1, 7)))
-    for o in (givens, skew, mat_identity(3, "exact")):
+    for o in ROTATIONS:
         for p in P_VALUES:
             for m in range(6):
                 for i in range(3):
-                    report = rotation_sumrule(m, o, i, xv, p)
-                    lhs, rhs = ref_rotation_sides(m, o, i, xv, p)
+                    report = rotation_sumrule(m, o, i, ROTATION_XV, p)
+                    lhs, rhs = ref_rotation_sides(m, o, i, ROTATION_XV, p)
                     assert report.lhs == lhs
                     assert report.rhs == rhs
-
-
-CS_PAIRS = (
-    (exact(q(3, 5)), exact(q(-4, 5))),
-    (ONE, ZERO),
-    cayley(exact(q(1, 3), q(1, 2))),
-    cayley(exact(0, q(1, 2))),
-)
 
 
 def test_coeff_C_matches_reference():
@@ -198,13 +229,8 @@ def test_coeff_C_matches_reference():
 
 
 def test_factorization_sides_match_reference():
-    points = (
-        (ZERO, exact(q(3, 4)), P_VALUES[0]),
-        (exact(q(2, 3)), exact(q(-1, 5)), ZERO),
-        (exact(q(1, 2), 1), ZERO, exact(q(-5, 4))),
-    )
     for c, s in CS_PAIRS:
-        for x, y, p in points:
+        for x, y, p in FACTORIZATION_POINTS:
             for m1 in range(5):
                 for m2 in range(5 - m1):
                     report = factorization_sumrule(m1, m2, c, s, x, y, p)
@@ -253,43 +279,102 @@ def test_recurrence_matches_direct_sum_and_moments_property():
 
 
 # ---------------------------------------------------------------------------
-# mutation controls: wrong identities must fail in exact mode
+# float sides against exact truth
+
+
+def assert_float_side(side, *args):
+    """side(*args) in float mode within relative error 1e-12 of side(*args)
+    in exact mode; for a report, each of its two sides."""
+    want, got = side(*args), side(*as_mode(args, FLOAT))
+    if isinstance(want, IdentityReport):
+        pairs = ((want.lhs, got.lhs), (want.rhs, got.rhs))
+    else:
+        pairs = ((want, got),)
+    for exact_side, float_side in pairs:
+        assert float_side.mode == FLOAT
+        truth = complex(exact_side)
+        assert abs(complex(float_side) - truth) <= 1e-12 * abs(truth)
+
+
+def test_float_sides_match_exact_sides():
+    """Each side in float mode against the same side in exact mode, at the
+    reference points above.  A float-only slip that scales both sides alike
+    (a missing 1/M!, say) passes every float verdict but fails here."""
+    for p in P_VALUES:
+        for m in range(13):
+            assert_float_side(gh_eval_recurrence, m, exact(q(-1, 3), q(1, 4)), p)
+        for xv, yv in VECTOR_PAIRS:
+            for big_m in range(6):
+                assert_float_side(graczyk_lhs, big_m, xv, yv, p)
+        for x, y in GRACZYK_RHS_PAIRS:
+            for n in (1, 2, 3, 5):
+                for big_m in range(7):
+                    assert_float_side(graczyk_rhs, big_m, PolarizationPair(x, y), n, p)
+        for o in ROTATIONS:
+            for m in range(6):
+                for i in range(3):
+                    assert_float_side(rotation_sumrule, m, o, i, ROTATION_XV, p)
+    for c, s in CS_PAIRS:
+        for m1 in range(5):
+            for m2 in range(5):
+                for r in range(m1 + m2 + 1):
+                    assert_float_side(coeff_C, m1, m2, r, c, s)
+        for x, y, p in FACTORIZATION_POINTS:
+            for m1 in range(5):
+                for m2 in range(5 - m1):
+                    assert_float_side(factorization_sumrule, m1, m2, c, s, x, y, p)
+
+
+# ---------------------------------------------------------------------------
+# mutation controls: wrong identities must fail, in exact and in float mode
+
+# The float verdicts are taken at the default tolerance.
+MUTATION_TOLERANCE = 1e-9
+PASS_VERDICTS = ((EXACT, "exact-pass"), (FLOAT, WITHIN_TOLERANCE))
 
 
 def test_graczyk_with_shifted_pochhammer_argument_fails():
     """Dimension n+1 moves the Pochhammer argument from (n-1)/2 to n/2."""
-    xv, yv = (exact(3), exact(4)), (exact(q(3, 2)), exact(2))
-    pair = polarization_pair(xv, yv)
-    for p in (exact(1), exact(q(-1, 2)), exact(q(1, 3), 1)):
-        for big_m in range(2, 7):
-            assert graczyk_identity(big_m, xv, yv, p).verdict == "exact-pass"
-            wrong = graczyk_rhs(big_m, pair, len(xv) + 1, p)
-            report = make_report("graczyk", {}, graczyk_lhs(big_m, xv, yv, p), wrong)
-            assert report.verdict == FAIL
+    for mode, passing in PASS_VERDICTS:
+        xv = as_mode((exact(3), exact(4)), mode)
+        yv = as_mode((exact(q(3, 2)), exact(2)), mode)
+        pair = polarization_pair(xv, yv)
+        for p in as_mode((exact(1), exact(q(-1, 2)), exact(q(1, 3), 1)), mode):
+            for big_m in range(2, 7):
+                right = graczyk_identity(big_m, xv, yv, p, MUTATION_TOLERANCE)
+                assert right.verdict == passing
+                wrong = graczyk_rhs(big_m, pair, len(xv) + 1, p)
+                report = make_report("graczyk", {}, right.lhs, wrong, MUTATION_TOLERANCE)
+                assert report.verdict == FAIL
 
 
 def test_rotation_with_non_orthogonal_matrix_fails():
     """2 G(0,1;1/2) has O O^t = 4 I, so the expansion breaks from m = 2."""
-    two = lift(2, "exact")
     givens = complex_givens(2, 0, 1, exact(q(1, 2)))
-    scaled = tuple(tuple(two * entry for entry in row) for row in givens)
-    xv, p = (exact(1), exact(2)), exact(q(1, 3))
-    for m in range(2, 7):
-        for i in range(2):
-            assert rotation_sumrule(m, givens, i, xv, p).verdict == "exact-pass"
-            assert rotation_sumrule(m, scaled, i, xv, p).verdict == FAIL
+    scaled = tuple(tuple(lift(2, EXACT) * entry for entry in row) for row in givens)
+    for mode, passing in PASS_VERDICTS:
+        xv, p = as_mode((exact(1), exact(2)), mode), as_mode(exact(q(1, 3)), mode)
+        for m in range(2, 7):
+            for i in range(2):
+                right = rotation_sumrule(m, as_mode(givens, mode), i, xv, p, MUTATION_TOLERANCE)
+                wrong = rotation_sumrule(m, as_mode(scaled, mode), i, xv, p, MUTATION_TOLERANCE)
+                assert right.verdict == passing
+                assert wrong.verdict == FAIL
 
 
 def test_factorization_with_sign_flipped_expansion_fails():
     """Negating s on the right-hand side only."""
-    x, y, p = exact(1), exact(2), exact(q(-1, 2))
-    for c, s in ((exact(q(3, 5)), exact(q(4, 5))), cayley(exact(0, q(1, 2)))):
-        for m1, m2 in ((1, 0), (1, 1), (2, 1), (3, 2)):
-            right = factorization_sumrule(m1, m2, c, s, x, y, p)
-            flipped = factorization_sumrule(m1, m2, c, -s, x, y, p)
-            assert right.verdict == "exact-pass"
-            report = make_report("factorization", {}, right.lhs, flipped.rhs)
-            assert report.verdict == FAIL
+    for mode, passing in PASS_VERDICTS:
+        x, y, p = as_mode((exact(1), exact(2), exact(q(-1, 2))), mode)
+        for c, s in as_mode(((exact(q(3, 5)), exact(q(4, 5))), cayley(exact(0, q(1, 2)))), mode):
+            for m1, m2 in ((1, 0), (1, 1), (2, 1), (3, 2)):
+                right = factorization_sumrule(m1, m2, c, s, x, y, p, MUTATION_TOLERANCE)
+                flipped = factorization_sumrule(m1, m2, c, -s, x, y, p)
+                assert right.verdict == passing
+                report = make_report(
+                    "factorization", {}, right.lhs, flipped.rhs, MUTATION_TOLERANCE
+                )
+                assert report.verdict == FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +382,36 @@ def test_factorization_with_sign_flipped_expansion_fails():
 
 
 def test_exact_sides_reject_one_float_scalar():
-    p = exact(q(1, 3))
-    xv, yv = (exact(3), exact(4)), (exact(3), flt(4.0))
-    with pytest.raises(ModeMismatchError):
-        graczyk_lhs(2, xv, yv, p)
-    with pytest.raises(ModeMismatchError):
-        graczyk_rhs(2, PolarizationPair(exact(5), flt(5.0)), 2, p)
+    """One scalar of the other mode anywhere in a side's inputs raises, in
+    exact-led and in float-led calls alike."""
     rot = complex_givens(2, 0, 1, exact(q(1, 2)))
-    with pytest.raises(ModeMismatchError):
-        rotation_sumrule(3, rot, 0, (exact(1), flt(2.0)), p)
-    mixed_rot = (rot[0], (rot[1][0], flt(0.6)))
-    with pytest.raises(ModeMismatchError):
-        rotation_sumrule(3, mixed_rot, 0, (exact(1), exact(2)), p)
     c, s = exact(q(3, 5)), exact(q(4, 5))
-    with pytest.raises(ModeMismatchError):
-        factorization_sumrule(2, 1, c, s, flt(1.0), exact(2), p)
-    with pytest.raises(ModeMismatchError):
-        factorization_sumrule(2, 1, c, flt(0.8), exact(1), exact(2), p)
-    with pytest.raises(ModeMismatchError):
-        coeff_C(2, 1, 1, c, flt(0.8))
-    with pytest.raises(ModeMismatchError):
-        gh_eval_recurrence(3, exact(1), flt(1.0))
+    x, y, p = exact(1), exact(2), exact(q(1, 3))
+    three, four = exact(3), exact(4)
+    for lead, other in ((EXACT, FLOAT), (FLOAT, EXACT)):
+
+        def led(value):
+            return as_mode(value, lead)
+
+        def odd(value):
+            return as_mode(value, other)
+
+        mixed = (
+            lambda: graczyk_lhs(2, led((three, four)), (led(three), odd(four)), led(p)),
+            lambda: graczyk_rhs(2, PolarizationPair(led(exact(5)), odd(exact(5))), 2, led(p)),
+            lambda: rotation_sumrule(3, led(rot), 0, (led(x), odd(y)), led(p)),
+            lambda: rotation_sumrule(
+                3, (led(rot[0]), (led(rot[1][0]), odd(rot[1][1]))), 0, led((x, y)), led(p)
+            ),
+            # the whole matrix in the other mode from xv and p
+            lambda: rotation_sumrule(3, odd(rot), 0, led((x, y)), led(p)),
+            lambda: factorization_sumrule(2, 1, led(c), led(s), odd(x), led(y), led(p)),
+            lambda: factorization_sumrule(2, 1, led(c), odd(s), led(x), led(y), led(p)),
+            # (c, s) both in the other mode from (x, y, p)
+            lambda: factorization_sumrule(2, 1, odd(c), odd(s), led(x), led(y), led(p)),
+            lambda: coeff_C(2, 1, 1, led(c), odd(s)),
+            lambda: gh_eval_recurrence(3, led(x), odd(x)),
+        )
+        for call in mixed:
+            with pytest.raises(ModeMismatchError):
+                call()

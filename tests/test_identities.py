@@ -338,6 +338,11 @@ def test_factorization_complex_cayley_point():
 def test_factorization_rejects_invalid_rotation():
     with pytest.raises(ValueError):
         factorization_sumrule(1, 1, exact(1), exact(1), exact(1), exact(1), exact(1))
+    # Float mode allows rounding in c^2 + s^2 = 1, not a gap of 1.6e-6.
+    point = (flt(1.0), flt(2.0), flt(0.5))
+    assert factorization_sumrule(1, 1, flt(0.6), flt(0.8), *point).passed
+    with pytest.raises(ValueError):
+        factorization_sumrule(1, 1, flt(0.6), flt(0.8 + 1e-6), *point)
 
 
 # ---------------------------------------------------------------------------

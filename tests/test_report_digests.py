@@ -21,25 +21,25 @@ from ghkernel.cli import main
 from ghkernel.sweeps import SWEEPS, grid_description
 
 SWEEP_DIGESTS = {
-    ("graczyk", "exact"): "245e2444164c8fbe80bd3b12e8ca8b06d96f355b41d06b13984f87cfd0ef039d",
-    ("rotation", "exact"): "4b6eab6e25b731bd73784d6840fbc85cdcbe9007dbedb227224cbb748b7e8e5a",
-    ("factorization", "exact"): "02a6df49ed9e9a364adc64a4f107dcdb0770e7b4c08199304751f2fd89d47465",
-    ("inner-product-moments", "exact"): "8e480fc51a917209a4baa6b83cb0464b0078d312f892e69ab829b18d6e3eec6e",
-    ("matrix", "exact"): "4278bcf4cc3158dfaa9c551ab8221fd1ded73c5341dc1fe478b711a24c9dae4c",
-    ("graczyk", "float"): "1c0d60d3af509199a5cef241388453ad765a625b8452eb2ece32cbec843118a9",
-    ("rotation", "float"): "c8217d238c01b992c8144ae940d141e39122b5033954c6a6058fc62a69ba19f3",
-    ("factorization", "float"): "1db474cbe3ec60a505fff10580ac75164c7b67c2a246e44faeb8957d3b439047",
-    ("inner-product-moments", "float"): "40e7a3629776ee215cf40f81a120156e9f8d9ca2295e0ded2f1095ed4e6cb540",
-    ("matrix", "float"): "b3074d18f0576d7372a2df3d6cdc9ed6f07de06f50eb0903c2df83de091b254a",
+    ("graczyk", "exact"): "8a8a70023eece8b039f334f3075cbdc645f02e41ca86e291ac5373deacffa96e",
+    ("rotation", "exact"): "72ba5e9f34cab57ef9e8c14754e9d2dfa2cd8e99f8f3896e9d88e4c95a5f9252",
+    ("factorization", "exact"): "aeab88c2062b5bd5fa6e86757b7c75fd01e8e81e17a5bf22018bcb543c3fad38",
+    ("inner-product-moments", "exact"): "b5f7d46fa8eca3eb66117f652597490cce049e766dd6b884b244f0a2c26c010f",
+    ("matrix", "exact"): "5f86695f0952ad7784b407674678173a548ed1802d48821d33357ba320320649",
+    ("graczyk", "float"): "11b7b85962a1922db36131495bd1a946ef4c27fa1a154207440f63d515f4dd5e",
+    ("rotation", "float"): "7f3944f3427a54a76b0491eb9c19c6ad4244988f3975e9ae735fa22a230d3bb1",
+    ("factorization", "float"): "cf9eab111ae3c3553368c532cff7a83ff7696f9eaed106525bb69a62d12fc3e3",
+    ("inner-product-moments", "float"): "16f34be3787588d227c85aa3a5ed37079f1fbc76b706d62c1cc8c90573819081",
+    ("matrix", "float"): "5f04c85733b48a8cdd68287a1beee85e034dffe04467fa4101b45ee5d78467fb",
 }
 
 POINT_DIGESTS = {
     ("--xv", "3,4", "--yv", "3,4", "--p", "1"):
-        "ddb838dd28343a49f0bd548a87e8747cbbfaa31dfa3746d8dd1c07b05a6db618",
+        "49bab270b33c91362c30b054e7c41e982c78af3964098d11ca3479da10117687",
     ("--xv", "3,4", "--yv", "1,-2", "--mode", "float"):
-        "d8cf3019b63aad79b115868a11189edccb86e97a61480c55cda75f056a9c2a99",
+        "4a5a6a464d59c869f18d4ce5e2931d837ecf4575f5b1ac7547e71a27f6d1baa4",
     ("--xv", "3,4", "--yv", "3,4"):
-        "e2ba91d39e2960d322d5efaa93c0517472de82e154737004b36390970b667b23",
+        "05f094759cacdd24f310d5131780949a4e6414058426d52f5da7d84744e15107",
 }
 
 # An odd count large enough that every target draws its samples in
@@ -49,16 +49,16 @@ SAMPLE_SEED = "7"
 
 SAMPLE_DIGESTS = {
     ("inner-product", "--ks"):
-        "35d4c819c4587cd8478f72a2d249170c9ba37df112d25cba9a12db0b669b557d",
+        "210051e201ae3f8421c63478fc1c8227b4cea19dd8fd580a9c52ccdbd4a3b50c",
     ("matrix",):
-        "bc4381e3edf9748a23f9586b03958f9ce4b6095bd45f389d1a71294b717ecf78",
+        "1ff275b74023a40ac29cfee2d75f72287a4aebd24e6b21de6a033f30e44a564f",
     ("chi-merge",):
-        "3cd80eee5cc36b8b93487c0ffa9050f590c08f8e4499cc99d2742f17629d65ad",
+        "7ab082ff6409245afca704b7666e1bb7fe40daa031ebe6ea075a5dd66896a02c",
     # n = 1: the right-hand side draws no chi block.
     ("inner-product", "--xv", "2", "--yv", "5", "--format", "csv"):
-        "5cb53a78985abf23943b3539c93b387529cf4ca32cb0518f835634ed5b872edd",
+        "9743c7eec8b2345d85a6254a8f0b114056e73c2fb948456e2949fcc5600b2cad",
     ("matrix", "--xm", "1,2,3;4,5,6", "--ym", "0,1,0;1,0,1"):
-        "0aedcdb3fcb2eb89c66cc9342277b6c8a591cf667d315b45262cfd54033e31dd",
+        "e617d3d321b426b37bf46ca1af94f1c3af734342dc591d49b995f3763e4c4d49",
 }
 
 REPORT_COUNTS = {
