@@ -25,6 +25,7 @@ from .identities import (
     IdentityReport,
     Matrix,
     Vector,
+    mat_flatten,
     matrix_polarization,
     polarization_pair,
 )
@@ -274,8 +275,6 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         inner_product_lhs_samples,
         inner_product_rhs_samples,
         ks_two_sample,
-        matrix_trace_rhs_samples,
-        matrix_trace_samples,
         moment_match,
         moment_match_exact,
         sample_chi,
@@ -299,64 +298,42 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         "order": order,
         "z": z,
         "stream_layout": {"lhs": 0, "rhs": 1},
+        **options,  # as given; inner-product replaces p by its parsed value
     }
     extra: dict[str, object] = {}
 
-    if args.target == "inner-product":
-        xv = _parse_vector(options["xv"], FLOAT)
-        yv = _parse_vector(options["yv"], FLOAT)
-        p = _parse_real(options["p"])
-        if p < 0:
-            raise ValueError("sampling needs p >= 0")
-        pair = polarization_pair(xv, yv)
-        lhs = inner_product_lhs_samples(
-            [float(s.re) for s in xv], [float(s.re) for s in yv], p, lhs_stream, count
-        )
-        rhs = inner_product_rhs_samples(pair, len(xv), p, rhs_stream, count)
-        params.update(
-            {
-                "xv": options["xv"],
-                "yv": options["yv"],
-                "p": p,
-                "p_convention": "sqrt(p)",
-                "pair_x": float(pair.x.re),
-                "pair_y": float(pair.y.re),
-            }
-        )
-    elif args.target == "matrix":
-        xm = _parse_matrix(options["xm"], FLOAT)
-        ym = _parse_matrix(options["ym"], FLOAT)
-        pair = matrix_polarization(xm, ym)
-        rows, cols = len(xm), len(xm[0])
-        lhs = matrix_trace_samples(
-            [[float(s.re) for s in row] for row in xm],
-            [[float(s.re) for s in row] for row in ym],
-            lhs_stream,
-            count,
-        )
-        rhs = matrix_trace_rhs_samples(pair, rows * cols, rhs_stream, count)
-        params.update(
-            {
-                "xm": options["xm"],
-                "ym": options["ym"],
-                "shape": f"{rows}x{cols}",
-                "p_convention": "unit-variance noise",
-                "pair_x": float(pair.x.re),
-                "pair_y": float(pair.y.re),
-            }
-        )
-    else:  # chi-merge
+    if args.target == "chi-merge":
         a, b = options["a"], options["b"]
         if a < 1 or b < 1:
             raise ValueError("chi-merge needs --a >= 1 and --b >= 1")
         lhs = chi_merge_samples(lhs_stream, a, b, count)
         rhs = sample_chi(rhs_stream, a + b, count)
-        params.update({"a": a, "b": b})
         exact_targets = {
             2: float(chi_even_moment(a + b, 1)),
             4: float(chi_even_moment(a + b, 2)),
         }
         extra["exact_moments"] = {str(k): v for k, v in exact_targets.items()}
+    else:
+        # The matrix claim is the inner-product claim on vec xm, vec ym at p = 1.
+        if args.target == "inner-product":
+            xv = _parse_vector(options["xv"], FLOAT)
+            yv = _parse_vector(options["yv"], FLOAT)
+            p = _parse_real(options["p"])
+            if not p > 0:
+                raise ValueError("sampling needs p > 0")
+            pair = polarization_pair(xv, yv)
+            params.update(p=p, p_convention="sqrt(p)")
+        else:
+            xm = _parse_matrix(options["xm"], FLOAT)
+            ym = _parse_matrix(options["ym"], FLOAT)
+            pair = matrix_polarization(xm, ym)
+            xv, yv, p = mat_flatten(xm), mat_flatten(ym), 1.0
+            params.update(shape=f"{len(xm)}x{len(xm[0])}", p_convention="unit-variance noise")
+        lhs = inner_product_lhs_samples(
+            [float(s.re) for s in xv], [float(s.re) for s in yv], p, lhs_stream, count
+        )
+        rhs = inner_product_rhs_samples(pair, len(xv), p, rhs_stream, count)
+        params.update(pair_x=float(pair.x.re), pair_y=float(pair.y.re))
 
     lhs_stats = collect_stats(lhs, order)
     rhs_stats = collect_stats(rhs, order)
@@ -462,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="pass threshold in combined standard errors")
     p_sample.add_argument("--xv", help="first vector (inner-product)")
     p_sample.add_argument("--yv", help="second vector (inner-product)")
-    p_sample.add_argument("--p", help="noise scale p >= 0 (inner-product)")
+    p_sample.add_argument("--p", help="noise scale p > 0 (inner-product)")
     p_sample.add_argument("--xm", help="first matrix (matrix)")
     p_sample.add_argument("--ym", help="second matrix (matrix)")
     p_sample.add_argument("--a", type=int, help="first dof (chi-merge)")

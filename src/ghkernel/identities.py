@@ -314,6 +314,20 @@ def graczyk_identity(
     return make_report("graczyk", params, lhs, rhs, tolerance)
 
 
+def _moment_sides(
+    M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], pair: PolarizationPair, p: Scalar
+) -> tuple[Scalar, Scalar]:
+    """E[lhs^M] and E[rhs^M] of the stochastic inner-product form.
+
+    The stochastic representation scales its noise by sqrt(p), while the
+    polynomial parameter enters as sigma^2 = 2p; the conversion is p -> p/2.
+    The moments are then M! times the two Graczyk sides.
+    """
+    half_p = p * lift(Fraction(1, 2), p.mode)
+    scale = lift(math.factorial(M), p.mode)
+    return scale * graczyk_lhs(M, xv, yv, half_p), scale * graczyk_rhs(M, pair, len(xv), half_p)
+
+
 def inner_product_moment_identity(
     M: int,
     xv: Sequence[Scalar],
@@ -321,17 +335,8 @@ def inner_product_moment_identity(
     p: Scalar,
     tolerance: float | None = None,
 ) -> IdentityReport:
-    """Exact M-th moment of both sides of the stochastic inner-product form.
-
-    The stochastic representation scales its noise by sqrt(p), while the
-    polynomial parameter enters as sigma^2 = 2p; the conversion is p -> p/2.
-    E[lhs^M] and E[rhs^M] are then M! times the two Graczyk sides.
-    """
-    half_p = p * lift(Fraction(1, 2), p.mode)
-    pair = polarization_pair(xv, yv)
-    scale = lift(math.factorial(M), p.mode)
-    lhs = scale * graczyk_lhs(M, xv, yv, half_p)
-    rhs = scale * graczyk_rhs(M, pair, len(xv), half_p)
+    """Exact M-th moment of both sides of the stochastic inner-product form."""
+    lhs, rhs = _moment_sides(M, xv, yv, polarization_pair(xv, yv), p)
     params = {
         "n": str(len(xv)),
         "M": str(M),
@@ -351,20 +356,14 @@ def matrix_moment_identity(
 ) -> IdentityReport:
     """Exact M-th moment of the matrix trace representation.
 
-    tr((xm+N)^t (ym+M)) is the flattened-vector inner product with
-    unit-variance noise, so the moment identity is the flattened Graczyk
-    rule at polynomial parameter 1/2 and dimension rows*cols.
+    tr((xm+N)^t (ym+M)) is the inner product of the flattened matrices with
+    unit-variance noise, so this is the inner-product moment identity on
+    vec xm, vec ym at p = 1 (polynomial parameter 1/2), dimension rows*cols.
     """
-    rows, cols = _check_rectangular(xm)
     pair = matrix_polarization(xm, ym)
-    flat_x, flat_y = mat_flatten(xm), mat_flatten(ym)
-    mode = pair.mode
-    half = lift(Fraction(1, 2), mode)
-    scale = lift(math.factorial(M), mode)
-    lhs = scale * graczyk_lhs(M, flat_x, flat_y, half)
-    rhs = scale * graczyk_rhs(M, pair, rows * cols, half)
+    lhs, rhs = _moment_sides(M, mat_flatten(xm), mat_flatten(ym), pair, one(pair.mode))
     params = {
-        "shape": f"{rows}x{cols}",
+        "shape": f"{len(xm)}x{len(xm[0])}",
         "M": str(M),
         "p_convention": "unit-variance noise, polynomial parameter 1/2",
         "xm": _fmt_matrix(xm),

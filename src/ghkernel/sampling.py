@@ -5,10 +5,10 @@ fixed and documented layout, so a given (seed, stream_id, count) always
 reproduces the identical sample sequence.  Each sampler draws its rows in
 bounded chunks, jumping the generator to each chunk's place in that layout,
 so its memory is the result vector plus a fixed budget of temporaries,
-whatever the count and the dimension.  Distribution equality is tested
-by matching empirical moments to order K within z combined standard errors;
-a two-sample Kolmogorov-Smirnov statistic is available as a secondary
-diagnostic.
+whatever the count and the dimension.  The matrix trace samplers are the
+inner-product ones on the flattened matrices at p = 1.  Moments to order K
+must match within z combined standard errors (zero for an exact target); a
+two-sample Kolmogorov-Smirnov statistic is a secondary diagnostic.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ class RngStream:
         bits = np.random.PCG64(seq)
         bits.advance(offset)
         return np.random.Generator(bits)
-
-    def child(self, stream_id: int) -> "RngStream":
-        return RngStream(self.seed, stream_id)
 
 
 # Normals a sampler draws per chunk of rows, summed over its blocks.  It
@@ -236,20 +233,13 @@ def matrix_trace_samples(
     stream: RngStream,
     count: int,
 ) -> np.ndarray:
-    """Samples of tr((xm + N)^t (ym + M)) with unit-variance noise matrices."""
+    """Samples of tr((xm + N)^t (ym + M)) with unit-variance noise matrices:
+    the inner-product samples of the flattened matrices at p = 1."""
     x = np.asarray(xm, dtype=float)
     y = np.asarray(ym, dtype=float)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError("need two equal-shape matrices")
-    rows, cols = x.shape
-    size = rows * cols
-    block_x, block_y = _blocks(stream, count * size, count * size)
-    out = np.empty(count)
-    for lo, hi in _row_chunks(count, 2 * size):
-        noise_x = _box_muller(block_x, (hi - lo) * size).reshape(-1, rows, cols)
-        noise_y = _box_muller(block_y, (hi - lo) * size).reshape(-1, rows, cols)
-        out[lo:hi] = ((x + noise_x) * (y + noise_y)).sum(axis=(1, 2))
-    return out
+    return inner_product_lhs_samples(x.ravel(), y.ravel(), 1.0, stream, count)
 
 
 def matrix_trace_rhs_samples(
@@ -299,6 +289,15 @@ class MomentVerdict:
     passed: bool
 
 
+def _verdict(
+    order: int, lhs: float, rhs: float, se_lhs: float, se_rhs: float, z: float
+) -> MomentVerdict:
+    """The pass rule of both gates: |lhs - rhs| <= z sqrt(se_lhs^2 + se_rhs^2)."""
+    tol = z * math.hypot(se_lhs, se_rhs)
+    diff = lhs - rhs
+    return MomentVerdict(order, lhs, rhs, diff, tol, abs(diff) <= tol)
+
+
 def moment_match(
     a: SampleStats,
     b: SampleStats,
@@ -308,14 +307,10 @@ def moment_match(
     """Per-order verdicts: |m_k(a) - m_k(b)| <= z sqrt(se_a^2 + se_b^2)."""
     if a.order() < order or b.order() < order:
         raise ValueError("stats were not collected to the requested order")
-    verdicts = []
-    for k in range(order):
-        tol = z * math.hypot(a.std_errors[k], b.std_errors[k])
-        diff = a.moments[k] - b.moments[k]
-        verdicts.append(
-            MomentVerdict(k + 1, a.moments[k], b.moments[k], diff, tol, abs(diff) <= tol)
-        )
-    return tuple(verdicts)
+    return tuple(
+        _verdict(k + 1, a.moments[k], b.moments[k], a.std_errors[k], b.std_errors[k], z)
+        for k in range(order)
+    )
 
 
 def moment_match_exact(
@@ -324,15 +319,12 @@ def moment_match_exact(
     z: float = DEFAULT_Z,
 ) -> tuple[MomentVerdict, ...]:
     """Empirical moments against exact targets (zero error on the target side)."""
-    verdicts = []
-    for order, target in sorted(expected.items()):
-        if order > stats.order():
-            raise ValueError("stats were not collected to the requested order")
-        got = stats.moments[order - 1]
-        tol = z * stats.std_errors[order - 1]
-        diff = got - target
-        verdicts.append(MomentVerdict(order, got, target, diff, tol, abs(diff) <= tol))
-    return tuple(verdicts)
+    if max(expected, default=0) > stats.order():
+        raise ValueError("stats were not collected to the requested order")
+    return tuple(
+        _verdict(k, stats.moments[k - 1], target, stats.std_errors[k - 1], 0.0, z)
+        for k, target in sorted(expected.items())
+    )
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -68,6 +68,8 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         other = self._join(other)
         a, b, c, d = self.re, self.im, other.re, other.im
+        if self.mode == EXACT and b == 0 and d == 0:
+            return Scalar(EXACT, a * c, Fraction(0))
         return Scalar(self.mode, a * c - b * d, a * d + b * c)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -84,6 +86,9 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a natural number")
+        # Float mode keeps square-and-multiply: float ** e rounds differently.
+        if self.mode == EXACT and self.im == 0:
+            return Scalar(EXACT, self.re ** exponent, Fraction(0))
         result = one(self.mode)
         base = self
         e = exponent

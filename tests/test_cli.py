@@ -163,7 +163,17 @@ def test_sample_inner_product_deterministic(tmp_path, capsys):
 def test_sample_negative_p_exits_2(capsys):
     code, _, err = run(capsys, "sample", "inner-product", "--p=-1")
     assert code == 2
-    assert "p >= 0" in err
+    assert "p > 0" in err
+
+
+def test_sample_zero_p_exits_2(capsys):
+    # Without noise both sides are constants and the z * SE tolerance is 0,
+    # so one ulp of rounding would fail a true identity.  The deterministic
+    # case is `verify graczyk` at M = 1.
+    code, _, err = run(capsys, "sample", "inner-product", "--xv", "1,2", "--yv", "3,-1",
+                       "--p", "0")
+    assert code == 2
+    assert "p > 0" in err
 
 
 def test_sample_chi_merge(tmp_path, capsys):
@@ -184,6 +194,20 @@ def test_sample_matrix_target(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     assert payload["params"]["shape"] == "2x2"
     assert payload["all_pass"] is True
+
+
+def test_sample_matrix_is_flattened_inner_product(tmp_path, capsys):
+    matrix, vector = tmp_path / "matrix.json", tmp_path / "vector.json"
+    common = ("--count", "1000", "--seed", "6")
+    assert run(capsys, "sample", "matrix", "--xm", "1,2;3,4", "--ym", "3,-1;0.5,7",
+               *common, "--out", str(matrix))[0] == 0
+    assert run(capsys, "sample", "inner-product", "--xv", "1,2,3,4", "--yv", "3,-1,0.5,7",
+               "--p", "1", *common, "--out", str(vector))[0] == 0
+    a, b = json.loads(matrix.read_text()), json.loads(vector.read_text())
+    for key in ("moments", "lhs_stats", "rhs_stats"):
+        assert a[key] == b[key]
+    for key in ("pair_x", "pair_y"):
+        assert a["params"][key] == b["params"][key]
 
 
 def test_sample_tiny_z_exits_1(tmp_path, capsys):

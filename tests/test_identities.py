@@ -32,7 +32,7 @@ from ghkernel import (
     polarization_pair,
     rotation_sumrule,
 )
-from ghkernel.identities import relative_residual
+from ghkernel.identities import mat_flatten, relative_residual
 
 
 def exact_vec(*values):
@@ -386,6 +386,29 @@ def test_matrix_moment_identity_exact():
     for big_m in range(7):
         report = matrix_moment_identity(big_m, xm, ym)
         assert report.verdict == "exact-pass"
+
+
+@pytest.mark.parametrize("lift_entry", [exact, flt], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "xm, ym",
+    [
+        # |xm + ym|_F = 3 and |xm - ym|_F = 7 in the 1x3 case, 5 and 5 in
+        # the 2x2 case, so exact polarization works.
+        pytest.param(((Fraction(3, 2), Fraction(5, 2), 4),),
+                     ((Fraction(-1, 2), Fraction(-1, 2), -2),), id="1x3"),
+        pytest.param(((2, 3), (1, 2)), ((-1, -1), (1, 2)), id="2x2"),
+    ],
+)
+def test_matrix_moment_identity_is_flattened_inner_product(lift_entry, xm, ym):
+    xm = tuple(tuple(lift_entry(v) for v in row) for row in xm)
+    ym = tuple(tuple(lift_entry(v) for v in row) for row in ym)
+    for big_m in range(6):
+        matrix = matrix_moment_identity(big_m, xm, ym)
+        vector = inner_product_moment_identity(
+            big_m, mat_flatten(xm), mat_flatten(ym), lift_entry(1)
+        )
+        assert (matrix.lhs, matrix.rhs) == (vector.lhs, vector.rhs)
+        assert matrix.passed
 
 
 def test_inner_product_moment_identity_exact():
