@@ -245,6 +245,7 @@ def _verdict_rows(verdicts) -> list[dict[str, object]]:
             "rhs": v.rhs,
             "difference": v.difference,
             "tolerance": v.tolerance,
+            "z_score": v.z_score,
             "verdict": "pass" if v.passed else "fail",
         }
         for v in verdicts
@@ -285,11 +286,6 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
     )
     seed, count, order, z = config.seed, config.count, config.order, config.z
     options = _target_options(args)
-    if args.ks:
-        # Load scipy before the samples exist.  Loaded after them, it raised
-        # the peak RSS of `sample inner-product --ks --count 4000000` from
-        # 497 MB to 552 MB.
-        import scipy.stats  # noqa: F401
     lhs_stream = RngStream(seed, 0)
     rhs_stream = RngStream(seed, 1)
     params: dict[str, object] = {
@@ -347,6 +343,7 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         all_pass = all_pass and all(v.passed for v in exact_verdicts)
 
     if args.ks:
+        # Last use of the samples: this sorts them in place.
         statistic, pvalue = ks_two_sample(lhs, rhs)
         extra["ks"] = {"statistic": statistic, "pvalue": pvalue}
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -167,13 +168,38 @@ def test_sample_negative_p_exits_2(capsys):
 
 
 def test_sample_zero_p_exits_2(capsys):
-    # Without noise both sides are constants and the z * SE tolerance is 0,
-    # so one ulp of rounding would fail a true identity.  The deterministic
-    # case is `verify graczyk` at M = 1.
+    # Without noise there is nothing to sample: the deterministic case is
+    # `verify graczyk` at M = 1.
     code, _, err = run(capsys, "sample", "inner-product", "--xv", "1,2", "--yv", "3,-1",
                        "--p", "0")
     assert code == 2
     assert "p > 0" in err
+
+
+def test_sample_tiny_p_passes(tmp_path, capsys):
+    # The noise, and with it z * SE, is far below one ulp of <xv, yv> = 1,
+    # while the polarization product pair_x * pair_y is one ulp above it:
+    # only the rounding floor of the tolerance lets the true identity pass.
+    out_file = tmp_path / "tiny.json"
+    code, _, err = run(capsys, "sample", "inner-product", "--xv", "1,2", "--yv", "3,-1",
+                       "--p", "1e-32", "--count", "100000", "--out", str(out_file))
+    assert code == 0, err
+    rows = json.loads(out_file.read_text())["moments"]
+    assert any(abs(row["z_score"]) > 5 for row in rows)
+
+
+def test_sample_rows_carry_z_scores(tmp_path, capsys):
+    out_file = tmp_path / "chi.json"
+    code, _, _ = run(capsys, "sample", "chi-merge", "--count", "20000", "--seed", "4",
+                     "--out", str(out_file))
+    assert code == 0
+    payload = json.loads(out_file.read_text())
+    lhs, rhs = payload["lhs_stats"]["std_errors"], payload["rhs_stats"]["std_errors"]
+    for row in payload["moments"]:
+        k = row["order"] - 1
+        assert row["z_score"] == row["difference"] / math.hypot(lhs[k], rhs[k])
+    for row in payload["exact_verdicts"]:
+        assert row["z_score"] == row["difference"] / lhs[row["order"] - 1]
 
 
 def test_sample_chi_merge(tmp_path, capsys):

@@ -1,9 +1,9 @@
 """Each command loads only the libraries it runs.
 
 `eval` and `verify` are exact or plain-float arithmetic and must start
-without numpy or scipy; `sample` needs numpy, and only its `--ks`
-diagnostic needs scipy.  Each case runs in a fresh interpreter, since
-this test process has long since imported both.
+without numpy; `sample` needs numpy, and no command loads scipy, not even
+the `--ks` diagnostic.  Each case runs in a fresh interpreter, since this
+test process may have imported both.
 """
 
 import os
@@ -66,10 +66,10 @@ def test_sample_loads_numpy_but_not_scipy(tmp_path):
     assert heavy_modules_after(code) == {"numpy"}
 
 
-def test_sample_ks_loads_scipy(tmp_path):
+def test_sample_ks_loads_numpy_only(tmp_path):
     out = str(tmp_path / "chi.json")
     code = run_cli("sample", "chi-merge", "--count", "1000", "--ks", "--out", out)
-    assert heavy_modules_after(code) == {"numpy", "scipy"}
+    assert heavy_modules_after(code) == {"numpy"}
 
 
 def test_every_exported_name_resolves():

@@ -21,25 +21,25 @@ from ghkernel.cli import main
 from ghkernel.sweeps import SWEEPS, grid_description
 
 SWEEP_DIGESTS = {
-    ("graczyk", "exact"): "8a8a70023eece8b039f334f3075cbdc645f02e41ca86e291ac5373deacffa96e",
-    ("rotation", "exact"): "72ba5e9f34cab57ef9e8c14754e9d2dfa2cd8e99f8f3896e9d88e4c95a5f9252",
-    ("factorization", "exact"): "aeab88c2062b5bd5fa6e86757b7c75fd01e8e81e17a5bf22018bcb543c3fad38",
-    ("inner-product-moments", "exact"): "b5f7d46fa8eca3eb66117f652597490cce049e766dd6b884b244f0a2c26c010f",
-    ("matrix", "exact"): "5f86695f0952ad7784b407674678173a548ed1802d48821d33357ba320320649",
-    ("graczyk", "float"): "11b7b85962a1922db36131495bd1a946ef4c27fa1a154207440f63d515f4dd5e",
-    ("rotation", "float"): "7f3944f3427a54a76b0491eb9c19c6ad4244988f3975e9ae735fa22a230d3bb1",
-    ("factorization", "float"): "cf9eab111ae3c3553368c532cff7a83ff7696f9eaed106525bb69a62d12fc3e3",
-    ("inner-product-moments", "float"): "16f34be3787588d227c85aa3a5ed37079f1fbc76b706d62c1cc8c90573819081",
-    ("matrix", "float"): "5f04c85733b48a8cdd68287a1beee85e034dffe04467fa4101b45ee5d78467fb",
+    ("graczyk", "exact"): "1105b1043096f4aa67dfd1dcc8c175fa0a50db3dbe692e5159a483e95c082a30",
+    ("rotation", "exact"): "e1548800ea6aedcc48f67b91a18333734f8e29a02b118e5b4bc6ed9a182b616d",
+    ("factorization", "exact"): "786877aeabf585a00e41de1262de2b81a57dc3229a52d495d2ad67a0327ea790",
+    ("inner-product-moments", "exact"): "916d5f6dc2c3c0678025faf8ca35e12f102f2cd04c9807b118141f17c77784ab",
+    ("matrix", "exact"): "d8853257baa1962fa2d66abe3e653342485c01f5ec20ea07776a32b672776928",
+    ("graczyk", "float"): "19cab21e4f1483ecafd9f0bd7d908df34082bb7042feb5c2239ada7fa8a51a3c",
+    ("rotation", "float"): "c689368321d99370c3f4ad35fe70721c4a98f0f235ce1a77f4bd356f5c7432fa",
+    ("factorization", "float"): "365170fa15921f4eb30ad5c8c9067732f6f2cf0d1425fc1f0308df874ed8faaf",
+    ("inner-product-moments", "float"): "c866f2b4b133dd5c558de165bc91f26ef8891322c5f2c32b2ed1103c5a077c4a",
+    ("matrix", "float"): "32c8880cc8ec9c466e84ca1b43b509002e4ebc986e98dc0b23d4036d19dc7a4a",
 }
 
 POINT_DIGESTS = {
     ("--xv", "3,4", "--yv", "3,4", "--p", "1"):
-        "49bab270b33c91362c30b054e7c41e982c78af3964098d11ca3479da10117687",
+        "78bbdc12b63ed97c91b0c2012b4ec085f55b450ffe29d05a4dc4b0446998674b",
     ("--xv", "3,4", "--yv", "1,-2", "--mode", "float"):
-        "4a5a6a464d59c869f18d4ce5e2931d837ecf4575f5b1ac7547e71a27f6d1baa4",
+        "09745d2505deb206b6834186f1d4020d3c03469e12859f5d1734e7d6a159f0aa",
     ("--xv", "3,4", "--yv", "3,4"):
-        "05f094759cacdd24f310d5131780949a4e6414058426d52f5da7d84744e15107",
+        "4d148d342cf9e726edaad379447e18ef7d3ec7d1e58c4105e577b12577a4317f",
 }
 
 # An odd count large enough that every target draws its samples in
@@ -49,16 +49,16 @@ SAMPLE_SEED = "7"
 
 SAMPLE_DIGESTS = {
     ("inner-product", "--ks"):
-        "210051e201ae3f8421c63478fc1c8227b4cea19dd8fd580a9c52ccdbd4a3b50c",
+        "ee197c77adfe79003053ee388ef6be608caba95241433214a902f85afdebd167",
     ("matrix",):
-        "1ff275b74023a40ac29cfee2d75f72287a4aebd24e6b21de6a033f30e44a564f",
+        "77241f85febfab7f0330f36654b641b45c918e6bcfe5f54486b5e72f004d1373",
     ("chi-merge",):
-        "7ab082ff6409245afca704b7666e1bb7fe40daa031ebe6ea075a5dd66896a02c",
+        "436561aa1e67f319b23369eab68e0ddcbabc5d915d0beebb79c4b47d0b59b0de",
     # n = 1: the right-hand side draws no chi block.
     ("inner-product", "--xv", "2", "--yv", "5", "--format", "csv"):
-        "9743c7eec8b2345d85a6254a8f0b114056e73c2fb948456e2949fcc5600b2cad",
+        "b045f64a945f881305a45a170df0e51246f6494ba182a1cc0deefa59b6392497",
     ("matrix", "--xm", "1,2,3;4,5,6", "--ym", "0,1,0;1,0,1"):
-        "e617d3d321b426b37bf46ca1af94f1c3af734342dc591d49b995f3763e4c4d49",
+        "0031203c86a020e188d0a556ed489609ab51951e60f414ce7e93d9d82e0621f9",
 }
 
 REPORT_COUNTS = {

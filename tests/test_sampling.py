@@ -145,6 +145,17 @@ def test_moment_match_detects_shifted_mean():
     assert not verdicts[0].passed
 
 
+def test_rounding_floor_forgives_ulps_only():
+    # Noise far below one ulp of 1: every sample is 1.0, the standard
+    # errors are 0 and the rounding floor alone sets the tolerance.
+    stats = collect_stats(1.0 + 1e-20 * sample_gaussian(RngStream(14, 0), 1000))
+    assert stats.std_errors == (0.0,) * 4
+    ulp_off = moment_match_exact(stats, {k: 1.0 + 2.0 ** -52 for k in range(1, 5)})
+    assert all(v.passed and v.z_score is None for v in ulp_off)
+    far_off = moment_match_exact(stats, {k: 1.0 + 1e-12 for k in range(1, 5)})
+    assert not any(v.passed for v in far_off)
+
+
 def test_moment_match_order_validation():
     stats = collect_stats(sample_gaussian(RngStream(13, 0), 1000), order=2)
     with pytest.raises(ValueError):
@@ -441,3 +452,76 @@ def test_chi_sampling_memory_does_not_grow_with_dimension():
     bound = 2 * count * 8 + 8 * sampling._CHUNK_NORMALS * 8
     assert max(peaks.values()) < bound, peaks
     assert peaks[64] <= 1.25 * peaks[2], peaks
+
+
+# -- bounded-memory statistics ----------------------------------------------
+
+
+def _numpy_stats(samples, order):
+    """The whole-array formulas: mean, and std(ddof=1) / sqrt(n), per power."""
+    moments, errors = [], []
+    powers = np.ones_like(samples)
+    for _ in range(order):
+        powers = powers * samples
+        moments.append(float(powers.mean()))
+        errors.append(float(powers.std(ddof=1) / math.sqrt(samples.size)))
+    return moments, errors
+
+
+@pytest.mark.parametrize("budget", [None, 5], ids=["default-budget", "budget-5"])
+def test_collect_stats_matches_numpy(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(sampling, "_CHUNK_NORMALS", budget)
+    chunk = sampling._CHUNK_NORMALS
+    counts = sorted({2, 3, 1001, chunk - 1, chunk, chunk + 1, 2 * chunk + 1} - {0, 1})
+    samples = 1.5 + sample_gaussian(RngStream(17, 0), counts[-1])
+    for count in counts:
+        stats = collect_stats(samples[:count], order=6)
+        moments, errors = _numpy_stats(samples[:count], 6)
+        assert stats.count == count
+        for got, want in zip(stats.moments + stats.std_errors, moments + errors):
+            assert abs(got - want) <= 1e-13 * abs(want), (count, got, want)
+
+
+def test_statistics_memory_does_not_grow_with_count():
+    peaks = {}
+    for count in (200_000, 1_000_000):
+        a = sample_gaussian(RngStream(2, 0), count)
+        b = sample_gaussian(RngStream(2, 1), count)
+        tracemalloc.start()
+        try:
+            collect_stats(a, 4)
+            ks_two_sample(a, b)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # Temporaries of a few chunks, whatever the count.
+    bound = 8 * sampling._CHUNK_NORMALS * 8
+    assert max(peaks.values()) < bound, peaks
+    assert peaks[1_000_000] <= 1.25 * peaks[200_000], peaks
+
+
+def test_ks_matches_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    special = pytest.importorskip("scipy.special")
+    # Above 10,000 points on the larger side ks_2samp takes its asymptotic
+    # route, the arithmetic ks_two_sample repeats; at or below it, scipy
+    # rounds the statistic to a multiple of 1 / lcm(n_a, n_b).
+    rng = np.random.default_rng(23)
+    cases = {
+        "equal": (rng.standard_normal(20_000), rng.standard_normal(20_000)),
+        "unequal": (rng.standard_normal(10_001), rng.standard_normal(30_011)),
+        "shifted": (rng.standard_normal(40_000), 0.02 + rng.standard_normal(25_000)),
+        "ties": (rng.integers(0, 40, 15_000).astype(float),
+                 rng.integers(0, 40, 12_000).astype(float)),
+        "large": (rng.standard_normal(400_000), rng.standard_normal(400_000)),
+    }
+    for name, (a, b) in cases.items():
+        want = scipy_stats.ks_2samp(a, b)
+        statistic, pvalue = ks_two_sample(a, b)
+        assert statistic == float(want.statistic), name
+        assert abs(pvalue - float(want.pvalue)) <= 2e-3, (name, pvalue, want.pvalue)
+        # Documented: both samples are sorted in place.
+        assert (np.diff(a) >= 0).all() and (np.diff(b) >= 0).all(), name
+    for lam in np.linspace(0.05, 4.0, 400):
+        assert abs(sampling._kolmogorov_sf(lam) - special.kolmogorov(lam)) <= 1e-14, lam
