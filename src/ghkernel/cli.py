@@ -16,7 +16,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .defaults import DEFAULT_COUNT, DEFAULT_ORDER, DEFAULT_Z
@@ -34,6 +35,8 @@ from .scalars import EXACT, FLOAT, format_scalar, parse_scalar
 from .sweeps import P_GRID, SWEEPS, graczyk_point, grid_description, in_mode
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .sampling import SampleStats
 
 SPEC_VERSION = __version__
@@ -266,13 +269,36 @@ def _target_options(args: argparse.Namespace) -> dict[str, object]:
     }
 
 
+def _both_sides(
+    draw_lhs: Callable[[], np.ndarray], draw_rhs: Callable[[], np.ndarray], order: int
+) -> tuple[tuple[np.ndarray, SampleStats], tuple[np.ndarray, SampleStats]]:
+    """Each side's samples and moments, the two sides at the same time.
+
+    A side is one job, draw then `collect_stats`; the rhs job runs on a
+    worker thread while the lhs job runs on this one, and numpy releases
+    the GIL in the array work that dominates both.  The sides share no
+    generator and no array, so the results are those of running the jobs
+    in turn.  An exception of either job is raised here.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .sampling import collect_stats
+
+    def side(draw: Callable[[], np.ndarray]) -> tuple[np.ndarray, SampleStats]:
+        samples = draw()
+        return samples, collect_stats(samples, order)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        rhs = pool.submit(side, draw_rhs)
+        return side(draw_lhs), rhs.result()
+
+
 def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
     # Imported here so that eval and verify never load numpy.
     from .sampling import (
         RngStream,
         chi_even_moment,
         chi_merge_samples,
-        collect_stats,
         inner_product_lhs_samples,
         inner_product_rhs_samples,
         ks_two_sample,
@@ -302,8 +328,8 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         a, b = options["a"], options["b"]
         if a < 1 or b < 1:
             raise ValueError("chi-merge needs --a >= 1 and --b >= 1")
-        lhs = chi_merge_samples(lhs_stream, a, b, count)
-        rhs = sample_chi(rhs_stream, a + b, count)
+        draw_lhs = partial(chi_merge_samples, lhs_stream, a, b, count)
+        draw_rhs = partial(sample_chi, rhs_stream, a + b, count)
         exact_targets = {
             2: float(chi_even_moment(a + b, 1)),
             4: float(chi_even_moment(a + b, 2)),
@@ -325,14 +351,14 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
             pair = matrix_polarization(xm, ym)
             xv, yv, p = mat_flatten(xm), mat_flatten(ym), 1.0
             params.update(shape=f"{len(xm)}x{len(xm[0])}", p_convention="unit-variance noise")
-        lhs = inner_product_lhs_samples(
-            [float(s.re) for s in xv], [float(s.re) for s in yv], p, lhs_stream, count
+        draw_lhs = partial(
+            inner_product_lhs_samples,
+            [float(s.re) for s in xv], [float(s.re) for s in yv], p, lhs_stream, count,
         )
-        rhs = inner_product_rhs_samples(pair, len(xv), p, rhs_stream, count)
+        draw_rhs = partial(inner_product_rhs_samples, pair, len(xv), p, rhs_stream, count)
         params.update(pair_x=float(pair.x.re), pair_y=float(pair.y.re))
 
-    lhs_stats = collect_stats(lhs, order)
-    rhs_stats = collect_stats(rhs, order)
+    (lhs, lhs_stats), (rhs, rhs_stats) = _both_sides(draw_lhs, draw_rhs, order)
     verdicts = moment_match(lhs_stats, rhs_stats, order, z)
     all_pass = all(v.passed for v in verdicts)
 

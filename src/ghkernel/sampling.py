@@ -386,12 +386,26 @@ def _kolmogorov_sf(lam: float) -> float:
     return 2 * sum((-1) ** (j - 1) * q ** (j * j) for j in range(1, 6))
 
 
+def _right_ranks(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(values, points, side="right")` for sorted `values`
+    and sorted non-empty `points`.
+
+    Every rank lies between those of the first and the last point, so
+    only that slice of `values` is searched, and its start added back.
+    """
+    lo, hi = np.searchsorted(values, points[[0, -1]], side="right")
+    ranks = np.searchsorted(values[lo:hi], points, side="right")
+    ranks += lo
+    return ranks
+
+
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Secondary diagnostic: two-sample Kolmogorov-Smirnov (statistic, p).
 
     Sorts `a` and `b` in place.  The statistic is max |F_a - F_b| over
     every point of both samples, with the empirical CDFs taken by
-    `searchsorted(..., side="right")` one chunk of points at a time.  That
+    `searchsorted(..., side="right")` one chunk of points at a time, each
+    chunk searched only in the window of ranks it can reach.  That
     is the arithmetic of `scipy.stats.ks_2samp`, whose statistic it equals
     bit for bit when the larger sample exceeds 10,000 points; up to that
     size scipy rounds it to a multiple of 1 / lcm(n_a, n_b).  The p-value is
@@ -407,8 +421,8 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     for points in (a, b):
         for lo, hi in _row_chunks(points.size, 1):
             chunk = points[lo:hi]
-            gap = np.searchsorted(a, chunk, side="right") / a.size
-            gap -= np.searchsorted(b, chunk, side="right") / b.size
+            gap = _right_ranks(a, chunk) / a.size
+            gap -= _right_ranks(b, chunk) / b.size
             statistic = max(statistic, float(np.abs(gap).max()))
     root = math.sqrt(a.size * b.size / (a.size + b.size))
     return statistic, _kolmogorov_sf((root + 0.12 + 0.11 / root) * statistic)

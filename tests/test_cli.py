@@ -3,11 +3,24 @@
 import csv
 import json
 import math
+import threading
 
 import pytest
 
+from ghkernel import sampling
 from ghkernel.cli import canonical_json, main
-from ghkernel.identities import DEFAULT_FLOAT_TOLERANCE
+from ghkernel.identities import DEFAULT_FLOAT_TOLERANCE, matrix_polarization, polarization_pair
+from ghkernel.sampling import (
+    RngStream,
+    chi_merge_samples,
+    collect_stats,
+    inner_product_lhs_samples,
+    inner_product_rhs_samples,
+    matrix_trace_rhs_samples,
+    matrix_trace_samples,
+    sample_chi,
+)
+from ghkernel.scalars import flt
 
 
 def run(capsys, *argv):
@@ -313,6 +326,61 @@ def test_sample_documented_defaults(tmp_path, capsys, target, defaults):
     run(capsys, *argv, "--out", str(implicit))
     run(capsys, *argv, *defaults, "--out", str(explicit))
     assert implicit.read_bytes() == explicit.read_bytes()
+
+
+def _serial_sides(target, seed, count):
+    """Each side of a default `sample` command, drawn by direct calls."""
+    lhs, rhs = RngStream(seed, 0), RngStream(seed, 1)
+    if target == "inner-product":
+        xv, yv = [flt(3), flt(4)], [flt(3), flt(4)]
+        return (inner_product_lhs_samples([3.0, 4.0], [3.0, 4.0], 1.0, lhs, count),
+                inner_product_rhs_samples(polarization_pair(xv, yv), 2, 1.0, rhs, count))
+    if target == "matrix":
+        xm, ym = [[3.0, 0.0], [0.0, 0.0]], [[0.0, 4.0], [0.0, 0.0]]
+        pair = matrix_polarization([[flt(v) for v in row] for row in xm],
+                                   [[flt(v) for v in row] for row in ym])
+        return (matrix_trace_samples(xm, ym, lhs, count),
+                matrix_trace_rhs_samples(pair, 4, rhs, count))
+    return chi_merge_samples(lhs, 3, 4, count), sample_chi(rhs, 7, count)
+
+
+@pytest.mark.parametrize("target", ["inner-product", "matrix", "chi-merge"])
+def test_sample_sides_match_serial_calls(tmp_path, capsys, target):
+    # The sides run on two threads; each must still be exactly what its
+    # sampler and collect_stats give when called one after the other.
+    out_file = tmp_path / "sides.json"
+    code, _, _ = run(capsys, "sample", target, "--count", "30001", "--seed", "12",
+                     "--order", "5", "--out", str(out_file))
+    assert code == 0
+    payload = json.loads(out_file.read_text())
+    for key, samples in zip(("lhs_stats", "rhs_stats"), _serial_sides(target, 12, 30001)):
+        stats = collect_stats(samples, 5)
+        assert payload[key] == {"count": 30001, "moments": list(stats.moments),
+                                "std_errors": list(stats.std_errors)}, key
+
+
+@pytest.mark.parametrize(
+    "target, sampler",
+    [("inner-product", "inner_product_rhs_samples"), ("chi-merge", "sample_chi")],
+)
+def test_sample_worker_side_error_exits_2(monkeypatch, capsys, target, sampler):
+    threads = []
+
+    def broken(*args, **kwargs):
+        threads.append(threading.current_thread())
+        raise RuntimeError("rhs sampler broke")
+
+    monkeypatch.setattr(sampling, sampler, broken)
+    codes = []
+    runner = threading.Thread(
+        target=lambda: codes.append(main(["sample", target, "--count", "1000"])), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "sample hung after a worker-side error"
+    assert codes == [2]
+    assert "error: rhs sampler broke" in capsys.readouterr().err
+    assert len(threads) == 1 and threads[0] is not runner
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 
 `eval` and `verify` are exact or plain-float arithmetic and must start
 without numpy; `sample` needs numpy, and no command loads scipy, not even
-the `--ks` diagnostic.  Each case runs in a fresh interpreter, since this
-test process may have imported both.
+the `--ks` diagnostic.  Only `sample` runs a worker thread, so only it
+loads `concurrent.futures`.  Each case runs in a fresh interpreter, since
+this test process may have imported all of them.
 """
 
 import os
@@ -18,12 +19,12 @@ import ghkernel
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def heavy_modules_after(code: str) -> set[str]:
-    """Which of numpy and scipy a fresh interpreter holds after `code`."""
+def heavy_modules_after(code: str, watched: tuple[str, ...] = ("numpy", "scipy")) -> set[str]:
+    """Which of the `watched` modules a fresh interpreter holds after `code`."""
     probe = (
         code
         + "\nimport sys\n"
-        + "print('loaded:' + ' '.join(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        + f"print('loaded:' + ' '.join(m for m in {watched!r} if m in sys.modules))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -70,6 +71,35 @@ def test_sample_ks_loads_numpy_only(tmp_path):
     out = str(tmp_path / "chi.json")
     code = run_cli("sample", "chi-merge", "--count", "1000", "--ks", "--out", out)
     assert heavy_modules_after(code) == {"numpy"}
+
+
+def no_thread_left(code: str) -> str:
+    return "import threading\n" + code + "assert threading.active_count() == 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param((), id="import"),
+        pytest.param(("eval", "--m", "2", "--x", "1", "--p", "1"), id="eval"),
+        pytest.param(("verify", "matrix"), id="verify-exact"),
+        pytest.param(("verify", "matrix", "--mode", "float"), id="verify-float"),
+    ],
+)
+def test_startup_runs_no_thread_pool(tmp_path, argv):
+    if argv[:1] == ("verify",):
+        argv += ("--out", str(tmp_path / "report.json"))
+    code = run_cli(*argv) if argv else "import ghkernel.cli\n"
+    assert heavy_modules_after(no_thread_left(code), ("concurrent.futures",)) == set()
+
+
+def test_sample_pool_is_loaded_and_joined(tmp_path):
+    # The positive control of the probe above: `sample` does load the pool,
+    # and its worker has finished when the command returns.
+    code = run_cli("sample", "chi-merge", "--count", "1000", "--out", str(tmp_path / "c.json"))
+    assert heavy_modules_after(no_thread_left(code), ("concurrent.futures",)) == {
+        "concurrent.futures"
+    }
 
 
 def test_every_exported_name_resolves():

@@ -245,6 +245,63 @@ def test_ks_diagnostic_smoke():
     assert statistic > 0.1
 
 
+def assert_right_ranks(values, points):
+    values = np.sort(np.asarray(values, dtype=float))
+    points = np.sort(np.asarray(points, dtype=float))
+    want = np.searchsorted(values, points, side="right")
+    got = sampling._right_ranks(values, points)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), (values, points, got, want)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        pytest.param([2, 2, 2], id="ties-at-both-edges"),
+        pytest.param([1, 2, 2, 3, 3], id="duplicated-edges"),
+        pytest.param([-9, -8, -8], id="wholly-below"),
+        pytest.param([9, 9, 12], id="wholly-above"),
+        pytest.param([1.5, 2, 2.5], id="inside"),
+        pytest.param([-1, 2, 10], id="spanning"),
+        pytest.param([2], id="one-point-on-a-tie"),
+        pytest.param([-5], id="one-point-below"),
+        pytest.param([5], id="one-point-above"),
+    ],
+)
+def test_right_ranks_cases(points):
+    assert_right_ranks([1, 2, 2, 2, 3, 3, 4], points)
+
+
+def test_right_ranks_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # Few distinct values, so ties inside and across the arrays are common.
+    small = st.integers(min_value=-6, max_value=6)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(values=st.lists(small, max_size=30),
+                      points=st.lists(small, min_size=1, max_size=30))
+    def check(values, points):
+        assert_right_ranks(values, points)
+
+    check()
+
+
+def test_ks_chunks_search_their_window(monkeypatch):
+    # Chunks of 7 points over tied integer samples, so chunk edges fall
+    # on runs of equal values: the statistic is that of whole searches.
+    monkeypatch.setattr(sampling, "_CHUNK_NORMALS", 7)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 9, 300).astype(float)
+    b = rng.integers(1, 12, 211).astype(float)
+    statistic, _ = ks_two_sample(a, b)
+    points = np.concatenate([a, b])
+    want = np.searchsorted(a, points, side="right") / a.size
+    want -= np.searchsorted(b, points, side="right") / b.size
+    assert statistic == float(np.abs(want).max())
+
+
 def test_collect_stats_validation():
     with pytest.raises(ValueError):
         collect_stats(np.array([1.0]))
