@@ -11,6 +11,12 @@ the inputs are scaled to a common denominator, so every term is a Gaussian
 integer accumulated as an int pair (see ``ghpoly.gaussian_row``); in float
 mode the scale is 1 and the pairs hold doubles.  Either way the side becomes
 a Scalar once, by a single division at its end.
+
+Each rule has one ``*_reports`` function that checks one point at many
+degrees: it builds what depends only on the point (the polarization pair,
+a rotation row's integers and tables, the factorization rows and powers)
+once, at the top degree, and reads every degree from it.  The single-check
+function is that function called with one degree.
 """
 
 from __future__ import annotations
@@ -299,19 +305,33 @@ def graczyk_identity(
     tolerance: float | None = None,
 ) -> IdentityReport:
     """Both sides of the inner-product sum rule at one parameter point."""
+    return graczyk_reports((M,), xv, yv, (p,), tolerance)[0]
+
+
+def graczyk_reports(
+    degrees: Sequence[int],
+    xv: Sequence[Scalar],
+    yv: Sequence[Scalar],
+    p_values: Sequence[Scalar],
+    tolerance: float | None = None,
+) -> list[IdentityReport]:
+    """graczyk_identity at every (M, p), M outer, polarizing the pair once."""
     pair = polarization_pair(xv, yv)
-    lhs = graczyk_lhs(M, xv, yv, p)
-    rhs = graczyk_rhs(M, pair, len(xv), p)
-    params = {
-        "n": str(len(xv)),
-        "M": str(M),
-        "p": str(p),
+    n = len(xv)
+    point = {
         "xv": _fmt_vector(xv),
         "yv": _fmt_vector(yv),
         "pair_x": str(pair.x),
         "pair_y": str(pair.y),
     }
-    return make_report("graczyk", params, lhs, rhs, tolerance)
+    reports = []
+    for M in degrees:
+        for p in p_values:
+            lhs = graczyk_lhs(M, xv, yv, p)
+            rhs = graczyk_rhs(M, pair, n, p)
+            params = {"n": str(n), "M": str(M), "p": str(p), **point}
+            reports.append(make_report("graczyk", params, lhs, rhs, tolerance))
+    return reports
 
 
 def _moment_sides(
@@ -336,16 +356,33 @@ def inner_product_moment_identity(
     tolerance: float | None = None,
 ) -> IdentityReport:
     """Exact M-th moment of both sides of the stochastic inner-product form."""
-    lhs, rhs = _moment_sides(M, xv, yv, polarization_pair(xv, yv), p)
-    params = {
-        "n": str(len(xv)),
-        "M": str(M),
-        "p": str(p),
-        "p_convention": "sqrt(p)",
-        "xv": _fmt_vector(xv),
-        "yv": _fmt_vector(yv),
-    }
-    return make_report("inner-product-moments", params, lhs, rhs, tolerance)
+    return inner_product_moment_reports((M,), xv, yv, (p,), tolerance)[0]
+
+
+def inner_product_moment_reports(
+    degrees: Sequence[int],
+    xv: Sequence[Scalar],
+    yv: Sequence[Scalar],
+    p_values: Sequence[Scalar],
+    tolerance: float | None = None,
+) -> list[IdentityReport]:
+    """inner_product_moment_identity at every (M, p), M outer, polarizing
+    the pair once."""
+    pair = polarization_pair(xv, yv)
+    point = {"xv": _fmt_vector(xv), "yv": _fmt_vector(yv)}
+    reports = []
+    for M in degrees:
+        for p in p_values:
+            lhs, rhs = _moment_sides(M, xv, yv, pair, p)
+            params = {
+                "n": str(len(xv)),
+                "M": str(M),
+                "p": str(p),
+                "p_convention": "sqrt(p)",
+                **point,
+            }
+            reports.append(make_report("inner-product-moments", params, lhs, rhs, tolerance))
+    return reports
 
 
 def matrix_moment_identity(
@@ -360,16 +397,31 @@ def matrix_moment_identity(
     unit-variance noise, so this is the inner-product moment identity on
     vec xm, vec ym at p = 1 (polynomial parameter 1/2), dimension rows*cols.
     """
+    return matrix_moment_reports((M,), xm, ym, tolerance)[0]
+
+
+def matrix_moment_reports(
+    degrees: Sequence[int],
+    xm: Matrix,
+    ym: Matrix,
+    tolerance: float | None = None,
+) -> list[IdentityReport]:
+    """matrix_moment_identity at every M, polarizing the pair once."""
     pair = matrix_polarization(xm, ym)
-    lhs, rhs = _moment_sides(M, mat_flatten(xm), mat_flatten(ym), pair, one(pair.mode))
-    params = {
-        "shape": f"{len(xm)}x{len(xm[0])}",
-        "M": str(M),
-        "p_convention": "unit-variance noise, polynomial parameter 1/2",
-        "xm": _fmt_matrix(xm),
-        "ym": _fmt_matrix(ym),
-    }
-    return make_report("matrix", params, lhs, rhs, tolerance)
+    flat_x, flat_y = mat_flatten(xm), mat_flatten(ym)
+    unit = one(pair.mode)
+    point = {"xm": _fmt_matrix(xm), "ym": _fmt_matrix(ym)}
+    reports = []
+    for M in degrees:
+        lhs, rhs = _moment_sides(M, flat_x, flat_y, pair, unit)
+        params = {
+            "shape": f"{len(xm)}x{len(xm[0])}",
+            "M": str(M),
+            "p_convention": "unit-variance noise, polynomial parameter 1/2",
+            **point,
+        }
+        reports.append(make_report("matrix", params, lhs, rhs, tolerance))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +481,27 @@ def rotation_sumrule(
     label: str | None = None,
 ) -> IdentityReport:
     """g_m((O xv)_i, p) against its multinomial expansion over rows of O."""
+    return rotation_reports((m,), o, i, xv, p, tolerance, label)[0]
+
+
+def rotation_reports(
+    degrees: Sequence[int],
+    o: Matrix,
+    i: int,
+    xv: Sequence[Scalar],
+    p: Scalar,
+    tolerance: float | None = None,
+    label: str | None = None,
+) -> list[IdentityReport]:
+    """rotation_sumrule at every degree, with row i's integers, its lhs row
+    and its tables built once, at the top degree."""
     n = len(o)
     if len(xv) != n or any(len(row) != n for row in o):
         raise ValueError("dimension mismatch")
     if not (0 <= i < n):
         raise IndexError("row index out of range")
+    if min(degrees) < 0:
+        raise ValueError("degree must be a natural number")
     # With O = W / den_o and xv = X / lam, (O xv)_i is an integer over
     # den_o lam, and each term prod_j O_ij^(m_j) g_(m_j)(x_j, p) an integer
     # over (den_o lam)^m: both sides share that denominator.
@@ -448,25 +516,28 @@ def rotation_sumrule(
     for wj, xj in zip(w, x_ints):
         t = _gmul(wj, xj)
         rotated = (rotated[0] + t[0], rotated[1] + t[1])
-    lhs_re, lhs_im = gaussian_row(m, rotated, scale_to_gaussian(p, scale * scale))[m]
+    top = max(degrees)
+    lhs_row = gaussian_row(top, rotated, scale_to_gaussian(p, scale * scale))
     p_int = scale_to_gaussian(p, lam * lam)
     tables = []
     for wj, xj in zip(w, x_ints):
-        row = gaussian_row(m, xj, p_int)
-        tables.append([_gmul(pw, g) for pw, g in zip(_gpowers(wj, m), row)])
-    rhs_re, rhs_im = _multinomial_sum(m, tables)
-    den = scale**m
-    lhs = from_gaussian(lhs_re, lhs_im, den, mode)
-    rhs = from_gaussian(rhs_re, rhs_im, den, mode)
-    params = {
-        "m": str(m),
+        row = gaussian_row(top, xj, p_int)
+        tables.append([_gmul(pw, g) for pw, g in zip(_gpowers(wj, top), row)])
+    point = {
         "n": str(n),
         "i": str(i),
         "p": str(p),
         "xv": _fmt_vector(xv),
         "rotation": label if label is not None else _fmt_matrix(o),
     }
-    return make_report("rotation", params, lhs, rhs, tolerance)
+    reports = []
+    for m in degrees:
+        den = scale**m
+        lhs = from_gaussian(*lhs_row[m], den, mode)
+        rhs = from_gaussian(*_multinomial_sum(m, tables), den, mode)
+        params = {"m": str(m), **point}
+        reports.append(make_report("rotation", params, lhs, rhs, tolerance))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +595,22 @@ def factorization_sumrule(
     tolerance: float | None = None,
 ) -> IdentityReport:
     """g_{m1}(cx-sy, p) g_{m2}(sx+cy, p) against its connection expansion."""
+    return factorization_reports(((m1, m2),), c, s, x, y, p, tolerance)[0]
+
+
+def factorization_reports(
+    splits: Sequence[tuple[int, int]],
+    c: Scalar,
+    s: Scalar,
+    x: Scalar,
+    y: Scalar,
+    p: Scalar,
+    tolerance: float | None = None,
+) -> list[IdentityReport]:
+    """factorization_sumrule at every degree split (m1, m2), with the rows
+    and powers built once, at the top total degree."""
+    if any(m1 < 0 or m2 < 0 for m1, m2 in splits):
+        raise ValueError("degrees must be natural numbers")
     # With (c, s) = (cc, ss) / k and (x, y) = (X, Y) / lam, cx - sy and
     # sx + cy are integers over k lam, C_{m1,m2,r} is an integer over
     # k^(m1+m2), and both sides share the denominator (k lam)^(m1+m2).
@@ -538,37 +625,34 @@ def factorization_sumrule(
         raise ValueError("c^2 + s^2 must equal 1")
     lam = clearing_scale(x, y, p)
     x_int, y_int = scale_to_gaussian(x, lam), scale_to_gaussian(y, lam)
-    total = m1 + m2
+    top = max(m1 + m2 for m1, m2 in splits)
     scale = k * lam
     p_lhs = scale_to_gaussian(p, scale * scale)
     cx, sy = _gmul(cc, x_int), _gmul(ss, y_int)
     sx, cy = _gmul(ss, x_int), _gmul(cc, y_int)
-    u = (cx[0] - sy[0], cx[1] - sy[1])
-    v = (sx[0] + cy[0], sx[1] + cy[1])
-    lhs_re, lhs_im = _gmul(gaussian_row(m1, u, p_lhs)[m1], gaussian_row(m2, v, p_lhs)[m2])
+    row_u = gaussian_row(top, (cx[0] - sy[0], cx[1] - sy[1]), p_lhs)
+    row_v = gaussian_row(top, (sx[0] + cy[0], sx[1] + cy[1]), p_lhs)
     p_int = scale_to_gaussian(p, lam * lam)
-    row_x = gaussian_row(total, x_int, p_int)
-    row_y = gaussian_row(total, y_int, p_int)
-    c_pows, s_pows = _gpowers(cc, total), _gpowers(ss, total)
-    rhs_re = rhs_im = 0
-    for r in range(total + 1):
-        coeff = _coeff_C_gaussian(m1, m2, r, c_pows, s_pows)
-        term = _gmul(coeff, _gmul(row_x[r], row_y[total - r]))
-        rhs_re += term[0]
-        rhs_im += term[1]
-    den = scale**total
-    lhs = from_gaussian(lhs_re, lhs_im, den, mode)
-    rhs = from_gaussian(rhs_re, rhs_im, den, mode)
-    params = {
-        "m1": str(m1),
-        "m2": str(m2),
-        "c": str(c),
-        "s": str(s),
-        "x": str(x),
-        "y": str(y),
-        "p": str(p),
-    }
-    return make_report("factorization", params, lhs, rhs, tolerance)
+    row_x = gaussian_row(top, x_int, p_int)
+    row_y = gaussian_row(top, y_int, p_int)
+    c_pows, s_pows = _gpowers(cc, top), _gpowers(ss, top)
+    point = {"c": str(c), "s": str(s), "x": str(x), "y": str(y), "p": str(p)}
+    reports = []
+    for m1, m2 in splits:
+        total = m1 + m2
+        lhs_re, lhs_im = _gmul(row_u[m1], row_v[m2])
+        rhs_re = rhs_im = 0
+        for r in range(total + 1):
+            coeff = _coeff_C_gaussian(m1, m2, r, c_pows, s_pows)
+            term = _gmul(coeff, _gmul(row_x[r], row_y[total - r]))
+            rhs_re += term[0]
+            rhs_im += term[1]
+        den = scale**total
+        lhs = from_gaussian(lhs_re, lhs_im, den, mode)
+        rhs = from_gaussian(rhs_re, rhs_im, den, mode)
+        params = {"m1": str(m1), "m2": str(m2), **point}
+        reports.append(make_report("factorization", params, lhs, rhs, tolerance))
+    return reports
 
 
 def _fmt_vector(v: Sequence[Scalar]) -> str:

@@ -9,8 +9,7 @@ every verdict at zero residual instead of a float tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Sequence
 
 from .identities import (
@@ -18,12 +17,12 @@ from .identities import (
     Matrix,
     Vector,
     complex_givens,
-    factorization_sumrule,
-    graczyk_identity,
-    inner_product_moment_identity,
+    factorization_reports,
+    graczyk_reports,
+    inner_product_moment_reports,
     mat_mul,
-    matrix_moment_identity,
-    rotation_sumrule,
+    matrix_moment_reports,
+    rotation_reports,
 )
 from .scalars import EXACT, FLOAT, Scalar, exact, to_float
 
@@ -37,6 +36,7 @@ P_GRID: tuple[Fraction, ...] = (
 )
 
 M_MAX = 6
+DEGREES = range(M_MAX + 1)
 GRACZYK_N_VALUES = (1, 2, 3)
 
 # Integer (or rational) vectors whose Euclidean norm is rational, per
@@ -154,11 +154,7 @@ def graczyk_point(
     xv: Vector, yv: Vector, p_values: Sequence[Scalar], tolerance: float | None
 ) -> list[IdentityReport]:
     """Inner-product sum rule at one vector pair, for M = 0..M_MAX."""
-    return [
-        graczyk_identity(big_m, xv, yv, p, tolerance)
-        for big_m in range(M_MAX + 1)
-        for p in p_values
-    ]
+    return graczyk_reports(DEGREES, xv, yv, p_values, tolerance)
 
 
 def graczyk_sweep(mode: str = EXACT, tolerance: float | None = None) -> list[IdentityReport]:
@@ -179,16 +175,29 @@ def default_rotations(n: int, mode: str = EXACT) -> list[tuple[str, Matrix]]:
     """Products of up to three Cayley-Givens blocks, labelled for reports.
 
     Float blocks are built from a float t: converting an exact block would
-    round differently.
+    round differently.  Each block is built once, and each product is its
+    left fold (G1 G2) G3, whose prefixes are multiplied once and shared.
     """
     exact_ts = _givens_ts()
-    ts = list(zip(map(str, exact_ts), in_mode(exact_ts, mode)))
+    t_labels = list(map(str, exact_ts))
+    ts = in_mode(exact_ts, mode)
+    planes_used = dict.fromkeys(chain.from_iterable(ROTATION_PLANES[n]))
+    blocks = {
+        ((i, j), k): complex_givens(n, i, j, t) for i, j in planes_used for k, t in enumerate(ts)
+    }
+    products: dict[tuple, Matrix] = {}
     rotations: list[tuple[str, Matrix]] = []
     for planes in ROTATION_PLANES[n]:
-        for choice in product(ts, repeat=len(planes)):
-            labels = [f"G({i},{j};{label})" for (i, j), (label, _) in zip(planes, choice)]
-            blocks = [complex_givens(n, i, j, t) for (i, j), (_, t) in zip(planes, choice)]
-            rotations.append(("*".join(labels), reduce(mat_mul, blocks)))
+        for choice in product(range(len(ts)), repeat=len(planes)):
+            keys = tuple(zip(planes, choice))
+            rot = blocks[keys[0]]
+            for end in range(2, len(keys) + 1):
+                prefix = keys[:end]
+                if prefix not in products:
+                    products[prefix] = mat_mul(rot, blocks[prefix[-1]])
+                rot = products[prefix]
+            label = "*".join(f"G({i},{j};{t_labels[k]})" for (i, j), k in keys)
+            rotations.append((label, rot))
     return rotations
 
 
@@ -199,11 +208,10 @@ def rotation_sweep(mode: str = EXACT, tolerance: float | None = None) -> list[Id
     for n, vector in ROTATION_VECTORS.items():
         xv = in_mode(vector, mode)
         for label, rot in default_rotations(n, mode):
-            for m in range(M_MAX + 1):
-                for i in range(n):
-                    reports.append(
-                        rotation_sumrule(m, rot, i, xv, p, tolerance, label=label)
-                    )
+            rows = [rotation_reports(DEGREES, rot, i, xv, p, tolerance, label) for i in range(n)]
+            # Reports run degree by degree, the rows inside each degree.
+            for same_degree in zip(*rows):
+                reports += same_degree
     return reports
 
 
@@ -218,15 +226,16 @@ def factorization_sweep(
     mode: str = EXACT, tolerance: float | None = None
 ) -> list[IdentityReport]:
     """Factorization rule over all degree splits and (c, s) families."""
+    splits = [
+        (m1, m2)
+        for m1 in range(FACTORIZATION_DEGREE_MAX + 1)
+        for m2 in range(FACTORIZATION_DEGREE_MAX + 1 - m1)
+    ]
     reports = []
     for c, s in default_cs_pairs(mode):
         for point in FACTORIZATION_POINTS:
             x, y, p = in_mode(point, mode)
-            for m1 in range(FACTORIZATION_DEGREE_MAX + 1):
-                for m2 in range(FACTORIZATION_DEGREE_MAX + 1 - m1):
-                    reports.append(
-                        factorization_sumrule(m1, m2, c, s, x, y, p, tolerance)
-                    )
+            reports += factorization_reports(splits, c, s, x, y, p, tolerance)
     return reports
 
 
@@ -238,11 +247,7 @@ def inner_product_moment_sweep(
     reports = []
     for n in MOMENT_N_VALUES:
         for xv, yv in exact_pair_pool(n, mode)[:MOMENT_PAIRS]:
-            for big_m in range(M_MAX + 1):
-                for p in p_values:
-                    reports.append(
-                        inner_product_moment_identity(big_m, xv, yv, p, tolerance)
-                    )
+            reports += inner_product_moment_reports(DEGREES, xv, yv, p_values, tolerance)
     return reports
 
 
@@ -261,8 +266,7 @@ def matrix_moment_sweep(
         for flat_x, flat_y in exact_pair_pool(rows * cols, mode)[:MOMENT_PAIRS]:
             xm = _reshape(flat_x, rows, cols)
             ym = _reshape(flat_y, rows, cols)
-            for big_m in range(M_MAX + 1):
-                reports.append(matrix_moment_identity(big_m, xm, ym, tolerance))
+            reports += matrix_moment_reports(DEGREES, xm, ym, tolerance)
     return reports
 
 
@@ -280,7 +284,7 @@ def grid_description(identity: str) -> dict[str, object]:
     if identity == "graczyk":
         return {
             "n": list(GRACZYK_N_VALUES),
-            "M": list(range(M_MAX + 1)),
+            "M": list(DEGREES),
             "p": [str(p) for p in P_GRID],
             "pairs_per_n": {str(n): len(exact_pair_pool(n)) for n in GRACZYK_N_VALUES},
             "pair_construction": "collinear (w, lambda w) and half-sum "
@@ -289,7 +293,7 @@ def grid_description(identity: str) -> dict[str, object]:
     if identity == "rotation":
         return {
             "n": list(ROTATION_VECTORS),
-            "m": list(range(M_MAX + 1)),
+            "m": list(DEGREES),
             "p": str(ROTATION_P),
             "t": [str(t) for t in _givens_ts()],
             "products": "all Givens blocks and products of two and three",
@@ -306,7 +310,7 @@ def grid_description(identity: str) -> dict[str, object]:
     if identity == "inner-product-moments":
         return {
             "n": list(MOMENT_N_VALUES),
-            "M": list(range(M_MAX + 1)),
+            "M": list(DEGREES),
             "p": [str(p) for p in MOMENT_P_VALUES],
             "p_convention": "sqrt(p)",
             "pairs_per_n": MOMENT_PAIRS,
@@ -314,7 +318,7 @@ def grid_description(identity: str) -> dict[str, object]:
     if identity == "matrix":
         return {
             "shapes": [f"{r}x{c}" for r, c in MATRIX_SHAPES],
-            "M": list(range(M_MAX + 1)),
+            "M": list(DEGREES),
             "noise": "unit variance",
         }
     raise ValueError(f"unknown identity {identity!r}")

@@ -5,7 +5,9 @@ doubles in float mode, divided once at the end.  The references below use
 only the direct gap-2 sum (`gh_eval`) and Scalar arithmetic, so a kernel
 that returned wrong (or trivially equal) sides would disagree with them.
 Each float side is held to its exact value, and the mutation controls show
-each check able to fail on a wrong identity, in both modes.
+each check able to fail on a wrong identity, in both modes.  The sweeps'
+all-degree paths, which build a point's tables once at the top degree, are
+held to one single-degree call per report.
 """
 
 import itertools
@@ -34,12 +36,24 @@ from ghkernel import (
     graczyk_rhs,
     lift,
     mat_identity,
+    mat_mul,
     polarization_pair,
     rotation_sumrule,
     to_float,
 )
+from ghkernel.cli import _report_row
 from ghkernel.ghpoly import clearing_scale, gaussian_row, scale_to_gaussian
-from ghkernel.identities import IdentityReport, make_report
+from ghkernel.identities import (
+    IdentityReport,
+    factorization_reports,
+    graczyk_reports,
+    inner_product_moment_identity,
+    inner_product_moment_reports,
+    make_report,
+    matrix_moment_identity,
+    matrix_moment_reports,
+    rotation_reports,
+)
 
 ONE = exact(1)
 ZERO = exact(0)
@@ -323,6 +337,82 @@ def test_float_sides_match_exact_sides():
             for m1 in range(5):
                 for m2 in range(5 - m1):
                     assert_float_side(factorization_sumrule, m1, m2, c, s, x, y, p)
+
+
+# ---------------------------------------------------------------------------
+# all-degree paths against single-degree calls, off the built-in grids
+
+OFF_GRID_T = exact(q(1, 3), q(2, 3))
+OFF_GRID_ROTATION = mat_mul(complex_givens(3, 0, 1, OFF_GRID_T), complex_givens(3, 1, 2, OFF_GRID_T))
+OFF_GRID_CS = cayley(OFF_GRID_T)
+OFF_GRID_POINT = (exact(q(2, 3)), exact(q(-1, 5)), P_VALUES[0])
+
+
+def assert_same_rows(batch, singles):
+    """The two report lists serialize to the same rows, in the same order."""
+    assert [_report_row(r) for r in batch] == [_report_row(r) for r in singles]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_rotation_reports_match_single_degree_calls(mode):
+    o, xv, p = as_mode((OFF_GRID_ROTATION, ROTATION_XV, P_VALUES[0]), mode)
+    for i in range(3):
+        batch = rotation_reports(range(11), o, i, xv, p, label="O")
+        singles = [rotation_sumrule(m, o, i, xv, p, label="O") for m in range(11)]
+        assert_same_rows(batch, singles)
+        if mode == EXACT:
+            for m, report in enumerate(batch):
+                assert (report.lhs, report.rhs) == ref_rotation_sides(m, o, i, xv, p)
+                assert report.passed
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_factorization_reports_match_single_degree_calls(mode):
+    c, s = as_mode(OFF_GRID_CS, mode)
+    x, y, p = as_mode(OFF_GRID_POINT, mode)
+    splits = [(m1, m2) for m1 in range(13) for m2 in range(13 - m1)]
+    batch = factorization_reports(splits, c, s, x, y, p)
+    singles = [factorization_sumrule(m1, m2, c, s, x, y, p) for m1, m2 in splits]
+    assert_same_rows(batch, singles)
+    if mode == EXACT:
+        for (m1, m2), report in zip(splits, batch):
+            assert (report.lhs, report.rhs) == ref_factorization_sides(m1, m2, c, s, x, y, p)
+            assert report.passed
+
+
+def test_reports_reject_a_negative_degree_beside_larger_ones():
+    """A negative degree must not index a row built for a larger one."""
+    c, s = OFF_GRID_CS
+    x, y, p = OFF_GRID_POINT
+    with pytest.raises(ValueError):
+        rotation_reports((3, -1), OFF_GRID_ROTATION, 0, ROTATION_XV, p)
+    with pytest.raises(ValueError):
+        factorization_reports(((3, 2), (-1, 3)), c, s, x, y, p)
+    with pytest.raises(ValueError):
+        factorization_sumrule(4, -1, c, s, x, y, p)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_pair_reports_match_single_degree_calls(mode):
+    # (u+v)/2 and (u-v)/2 for u = (1,2,2), v = (2,3,6): norms 3 and 7.
+    xv = as_mode((exact(q(3, 2)), exact(q(5, 2)), exact(4)), mode)
+    yv = as_mode((exact(q(-1, 2)), exact(q(-1, 2)), exact(-2)), mode)
+    p_values = as_mode(P_VALUES, mode)
+    degrees = range(9)
+    assert_same_rows(
+        graczyk_reports(degrees, xv, yv, p_values),
+        [graczyk_identity(big_m, xv, yv, p) for big_m in degrees for p in p_values],
+    )
+    assert_same_rows(
+        inner_product_moment_reports(degrees, xv, yv, p_values),
+        [inner_product_moment_identity(big_m, xv, yv, p) for big_m in degrees for p in p_values],
+    )
+    xm, ym = (xv[:2], (xv[2], ZERO)), (yv[:2], (yv[2], ZERO))
+    xm, ym = as_mode((xm, ym), mode)
+    assert_same_rows(
+        matrix_moment_reports(degrees, xm, ym),
+        [matrix_moment_identity(big_m, xm, ym) for big_m in degrees],
+    )
 
 
 # ---------------------------------------------------------------------------
