@@ -14,9 +14,15 @@ a Scalar once, by a single division at its end.
 
 Each rule has one ``*_reports`` function that checks one point at many
 degrees: it builds what depends only on the point (the polarization pair,
-a rotation row's integers and tables, the factorization rows and powers)
-once, at the top degree, and reads every degree from it.  The single-check
-function is that function called with one degree.
+a rotation row's integers and tables, the Graczyk rows per p, the
+factorization rows and powers) once, at the top degree, and reads every
+degree from it.  The single-check function is that function called with
+one degree.
+
+The multinomial sums over |m| = M (the Graczyk left side, the rotation
+rule's right side) are not enumerated: since sum_m g_m(x, p) t^m / m! =
+exp(xt + pt^2), they are entries of a binomial convolution of per-coordinate
+rows (``_binomial_fold``), which gives every degree at once.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .ghpoly import (
     gaussian_row,
     scale_to_gaussian,
 )
-from .multiindex import compositions, multinomial
 from .scalars import (
     EXACT,
     FLOAT,
@@ -187,16 +192,36 @@ def _gpowers(base: GaussianInt, top: int) -> list[GaussianInt]:
     return out
 
 
-def _multinomial_sum(total: int, tables: Sequence[Sequence[GaussianInt]]) -> GaussianInt:
-    """sum over |m| = total of total!/m! * prod_j tables[j][m_j]."""
-    re = im = 0
-    for m in compositions(total, len(tables)):
-        term = (multinomial(total, m), 0)
-        for table, mj in zip(tables, m):
-            term = _gmul(term, table[mj])
-        re += term[0]
-        im += term[1]
-    return re, im
+def _binomial_fold(top: int, tables: Sequence[Sequence[GaussianInt]]) -> list[GaussianInt]:
+    """Entries 0..top of the binomial convolution of the tables,
+    (A * T)[M] = sum_k C(M, k) A[k] T[M-k], folded left over the tables.
+
+    Entry M is sum over |m| = M of M!/m! * prod_j tables[j][m_j]: each table
+    is a row of exponential-generating-function coefficients, and the fold
+    multiplies the generating functions.  One pass per table gives every
+    degree at once.
+    """
+    binoms = [[math.comb(M, k) for k in range(M + 1)] for M in range(top + 1)]
+    acc = list(tables[0][: top + 1])
+    for table in tables[1:]:
+        folded = []
+        for M, weights in enumerate(binoms):
+            re = im = 0
+            for k, c in enumerate(weights):
+                (ar, ai), (tr, ti) = acc[k], table[M - k]
+                re += c * (ar * tr - ai * ti)
+                im += c * (ar * ti + ai * tr)
+            folded.append((re, im))
+        acc = folded
+    return acc
+
+
+def _top_degree(degrees: Sequence[int]) -> int:
+    """The largest degree (0 for none); a negative one must not index a row
+    built for a larger one."""
+    if min(degrees, default=0) < 0:
+        raise ValueError("degree must be a natural number")
+    return max(degrees, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +280,39 @@ def matrix_polarization(xm: Matrix, ym: Matrix) -> PolarizationPair:
 
 def graczyk_lhs(M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Scalar) -> Scalar:
     """sum_{|m|=M} g_m(xv, p) g_m(yv, p) / m! over all compositions."""
+    return _graczyk_lhs_row(M, xv, yv, p)[M]
+
+
+def _graczyk_lhs_row(
+    top: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Scalar
+) -> list[Scalar]:
+    """graczyk_lhs at M = 0..top, from one binomial fold."""
     if len(xv) != len(yv):
         raise ValueError("dimension mismatch")
     # With lam clearing xv, yv and p, each term g_m(xv) g_m(yv) is an
-    # integer over lam^(2M); scaling by M! turns 1/m! into M!/m!.
+    # integer over lam^(2M); scaling by M! turns 1/m! into M!/m!, which is
+    # the fold's weight.
     lam = clearing_scale(*xv, *yv, p)
     p_int = scale_to_gaussian(p, lam * lam)
     tables = []
     for xc, yc in zip(xv, yv):
-        row_x = gaussian_row(M, scale_to_gaussian(xc, lam), p_int)
-        row_y = gaussian_row(M, scale_to_gaussian(yc, lam), p_int)
+        row_x = gaussian_row(top, scale_to_gaussian(xc, lam), p_int)
+        row_y = gaussian_row(top, scale_to_gaussian(yc, lam), p_int)
         tables.append([_gmul(gx, gy) for gx, gy in zip(row_x, row_y)])
-    re, im = _multinomial_sum(M, tables)
-    return from_gaussian(re, im, math.factorial(M) * lam ** (2 * M), p.mode)
+    return [
+        from_gaussian(re, im, math.factorial(M) * lam ** (2 * M), p.mode)
+        for M, (re, im) in enumerate(_binomial_fold(top, tables))
+    ]
 
 
 def graczyk_rhs(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Scalar:
     """sum_j (2p)^(2j) / (j!(M-2j)!) ((n-1)/2)_j g_{M-2j}(x,p) g_{M-2j}(y,p)."""
+    return _graczyk_rhs_row(M, pair, n, p)[M]
+
+
+def _graczyk_rhs_row(top: int, pair: PolarizationPair, n: int, p: Scalar) -> list[Scalar]:
+    """graczyk_rhs at M = 0..top, from one pair of rows and one list of
+    weights."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     # With P = lam^2 p, (2p)^(2j) ((n-1)/2)_j is 2^j P^(2j) (n-1)(n+1)...(n+2j-3)
@@ -279,22 +320,27 @@ def graczyk_rhs(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Scalar:
     # term is an integer over lam^(2M), and M!/(j!(M-2j)!) is an integer.
     lam = clearing_scale(pair.x, pair.y, p)
     p_int = scale_to_gaussian(p, lam * lam)
-    row_x = gaussian_row(M, scale_to_gaussian(pair.x, lam), p_int)
-    row_y = gaussian_row(M, scale_to_gaussian(pair.y, lam), p_int)
+    row_x = gaussian_row(top, scale_to_gaussian(pair.x, lam), p_int)
+    row_y = gaussian_row(top, scale_to_gaussian(pair.y, lam), p_int)
+    products = [_gmul(gx, gy) for gx, gy in zip(row_x, row_y)]
     p_sq = _gmul(p_int, p_int)
     two_p_sq = (2 * p_sq[0], 2 * p_sq[1])
-    m_fact = math.factorial(M)
-    weight = (1, 0)
-    re = im = 0
-    for j in range(M // 2 + 1):
-        d = M - 2 * j
-        coeff = m_fact // (math.factorial(j) * math.factorial(d))
-        term = _gmul(weight, _gmul(row_x[d], row_y[d]))
-        re += coeff * term[0]
-        im += coeff * term[1]
-        weight = _gmul(weight, two_p_sq)
-        weight = (weight[0] * (n - 1 + 2 * j), weight[1] * (n - 1 + 2 * j))
-    return from_gaussian(re, im, m_fact * lam ** (2 * M), p.mode)
+    weights = [(1, 0)]
+    for j in range(top // 2):
+        weight = _gmul(weights[-1], two_p_sq)
+        weights.append((weight[0] * (n - 1 + 2 * j), weight[1] * (n - 1 + 2 * j)))
+    out = []
+    for M in range(top + 1):
+        m_fact = math.factorial(M)
+        re = im = 0
+        for j in range(M // 2 + 1):
+            d = M - 2 * j
+            coeff = m_fact // (math.factorial(j) * math.factorial(d))
+            term = _gmul(weights[j], products[d])
+            re += coeff * term[0]
+            im += coeff * term[1]
+        out.append(from_gaussian(re, im, m_fact * lam ** (2 * M), p.mode))
+    return out
 
 
 def graczyk_identity(
@@ -315,9 +361,14 @@ def graczyk_reports(
     p_values: Sequence[Scalar],
     tolerance: float | None = None,
 ) -> list[IdentityReport]:
-    """graczyk_identity at every (M, p), M outer, polarizing the pair once."""
+    """graczyk_identity at every (M, p), M outer, polarizing the pair once
+    and building one lhs row and one rhs row per p, at the top degree."""
     pair = polarization_pair(xv, yv)
     n = len(xv)
+    top = _top_degree(degrees)
+    rows = [
+        (_graczyk_lhs_row(top, xv, yv, p), _graczyk_rhs_row(top, pair, n, p)) for p in p_values
+    ]
     point = {
         "xv": _fmt_vector(xv),
         "yv": _fmt_vector(yv),
@@ -326,26 +377,26 @@ def graczyk_reports(
     }
     reports = []
     for M in degrees:
-        for p in p_values:
-            lhs = graczyk_lhs(M, xv, yv, p)
-            rhs = graczyk_rhs(M, pair, n, p)
+        for p, (lhs_row, rhs_row) in zip(p_values, rows):
             params = {"n": str(n), "M": str(M), "p": str(p), **point}
-            reports.append(make_report("graczyk", params, lhs, rhs, tolerance))
+            reports.append(make_report("graczyk", params, lhs_row[M], rhs_row[M], tolerance))
     return reports
 
 
-def _moment_sides(
-    M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], pair: PolarizationPair, p: Scalar
-) -> tuple[Scalar, Scalar]:
-    """E[lhs^M] and E[rhs^M] of the stochastic inner-product form.
+def _moment_rows(
+    top: int, xv: Sequence[Scalar], yv: Sequence[Scalar], pair: PolarizationPair, p: Scalar
+) -> tuple[list[Scalar], list[Scalar]]:
+    """E[lhs^M] and E[rhs^M] of the stochastic inner-product form, M = 0..top.
 
     The stochastic representation scales its noise by sqrt(p), while the
     polynomial parameter enters as sigma^2 = 2p; the conversion is p -> p/2.
     The moments are then M! times the two Graczyk sides.
     """
     half_p = p * lift(Fraction(1, 2), p.mode)
-    scale = lift(math.factorial(M), p.mode)
-    return scale * graczyk_lhs(M, xv, yv, half_p), scale * graczyk_rhs(M, pair, len(xv), half_p)
+    scales = [lift(math.factorial(M), p.mode) for M in range(top + 1)]
+    lhs = _graczyk_lhs_row(top, xv, yv, half_p)
+    rhs = _graczyk_rhs_row(top, pair, len(xv), half_p)
+    return [s * v for s, v in zip(scales, lhs)], [s * v for s, v in zip(scales, rhs)]
 
 
 def inner_product_moment_identity(
@@ -367,13 +418,14 @@ def inner_product_moment_reports(
     tolerance: float | None = None,
 ) -> list[IdentityReport]:
     """inner_product_moment_identity at every (M, p), M outer, polarizing
-    the pair once."""
+    the pair once and reading both sides from one pair of rows per p."""
     pair = polarization_pair(xv, yv)
+    top = _top_degree(degrees)
+    rows = [_moment_rows(top, xv, yv, pair, p) for p in p_values]
     point = {"xv": _fmt_vector(xv), "yv": _fmt_vector(yv)}
     reports = []
     for M in degrees:
-        for p in p_values:
-            lhs, rhs = _moment_sides(M, xv, yv, pair, p)
+        for p, (lhs_row, rhs_row) in zip(p_values, rows):
             params = {
                 "n": str(len(xv)),
                 "M": str(M),
@@ -381,7 +433,9 @@ def inner_product_moment_reports(
                 "p_convention": "sqrt(p)",
                 **point,
             }
-            reports.append(make_report("inner-product-moments", params, lhs, rhs, tolerance))
+            reports.append(
+                make_report("inner-product-moments", params, lhs_row[M], rhs_row[M], tolerance)
+            )
     return reports
 
 
@@ -406,21 +460,21 @@ def matrix_moment_reports(
     ym: Matrix,
     tolerance: float | None = None,
 ) -> list[IdentityReport]:
-    """matrix_moment_identity at every M, polarizing the pair once."""
+    """matrix_moment_identity at every M, polarizing the pair once and
+    reading both sides from one pair of rows."""
     pair = matrix_polarization(xm, ym)
     flat_x, flat_y = mat_flatten(xm), mat_flatten(ym)
-    unit = one(pair.mode)
+    lhs_row, rhs_row = _moment_rows(_top_degree(degrees), flat_x, flat_y, pair, one(pair.mode))
     point = {"xm": _fmt_matrix(xm), "ym": _fmt_matrix(ym)}
     reports = []
     for M in degrees:
-        lhs, rhs = _moment_sides(M, flat_x, flat_y, pair, unit)
         params = {
             "shape": f"{len(xm)}x{len(xm[0])}",
             "M": str(M),
             "p_convention": "unit-variance noise, polynomial parameter 1/2",
             **point,
         }
-        reports.append(make_report("matrix", params, lhs, rhs, tolerance))
+        reports.append(make_report("matrix", params, lhs_row[M], rhs_row[M], tolerance))
     return reports
 
 
@@ -494,14 +548,13 @@ def rotation_reports(
     label: str | None = None,
 ) -> list[IdentityReport]:
     """rotation_sumrule at every degree, with row i's integers, its lhs row
-    and its tables built once, at the top degree."""
+    and the binomial fold of its tables built once, at the top degree."""
     n = len(o)
     if len(xv) != n or any(len(row) != n for row in o):
         raise ValueError("dimension mismatch")
     if not (0 <= i < n):
         raise IndexError("row index out of range")
-    if min(degrees) < 0:
-        raise ValueError("degree must be a natural number")
+    top = _top_degree(degrees)
     # With O = W / den_o and xv = X / lam, (O xv)_i is an integer over
     # den_o lam, and each term prod_j O_ij^(m_j) g_(m_j)(x_j, p) an integer
     # over (den_o lam)^m: both sides share that denominator.
@@ -516,13 +569,13 @@ def rotation_reports(
     for wj, xj in zip(w, x_ints):
         t = _gmul(wj, xj)
         rotated = (rotated[0] + t[0], rotated[1] + t[1])
-    top = max(degrees)
     lhs_row = gaussian_row(top, rotated, scale_to_gaussian(p, scale * scale))
     p_int = scale_to_gaussian(p, lam * lam)
     tables = []
     for wj, xj in zip(w, x_ints):
         row = gaussian_row(top, xj, p_int)
         tables.append([_gmul(pw, g) for pw, g in zip(_gpowers(wj, top), row)])
+    rhs_row = _binomial_fold(top, tables)
     point = {
         "n": str(n),
         "i": str(i),
@@ -534,7 +587,7 @@ def rotation_reports(
     for m in degrees:
         den = scale**m
         lhs = from_gaussian(*lhs_row[m], den, mode)
-        rhs = from_gaussian(*_multinomial_sum(m, tables), den, mode)
+        rhs = from_gaussian(*rhs_row[m], den, mode)
         params = {"m": str(m), **point}
         reports.append(make_report("rotation", params, lhs, rhs, tolerance))
     return reports

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable, Sequence
 
+from .ghpoly import GaussianInt, clearing_scale, from_gaussian, scale_to_gaussian
 from .identities import (
     IdentityReport,
     Matrix,
@@ -20,7 +21,6 @@ from .identities import (
     factorization_reports,
     graczyk_reports,
     inner_product_moment_reports,
-    mat_mul,
     matrix_moment_reports,
     rotation_reports,
 )
@@ -171,31 +171,68 @@ def _givens_ts() -> list[Scalar]:
     return [exact(re_part, im_part) for re_part, im_part in GIVENS_T_VALUES]
 
 
+# A matrix as (den, rows of Gaussian-integer pairs): the matrix is the
+# pairs over den.  In float mode den is 1 and the pairs hold doubles.
+PairMatrix = tuple[int, tuple[tuple[GaussianInt, ...], ...]]
+
+
+def _to_pairs(a: Matrix) -> PairMatrix:
+    den = clearing_scale(*[entry for row in a for entry in row])
+    return den, tuple(tuple(scale_to_gaussian(entry, den) for entry in row) for row in a)
+
+
+def _pair_mat_mul(a: PairMatrix, b: PairMatrix) -> PairMatrix:
+    """The product of two pair matrices, each entry summed as ``dot`` sums
+    it: from zero, adding one product at a time.  Float entries therefore
+    round exactly as ``mat_mul`` on the float Scalars does."""
+    den_a, rows = a
+    den_b, b_rows = b
+    cols = tuple(zip(*b_rows))
+    product_rows = []
+    for row in rows:
+        entries = []
+        for col in cols:
+            re = im = 0
+            for (ar, ai), (br, bi) in zip(row, col):
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            entries.append((re, im))
+        product_rows.append(tuple(entries))
+    return den_a * den_b, tuple(product_rows)
+
+
 def default_rotations(n: int, mode: str = EXACT) -> list[tuple[str, Matrix]]:
     """Products of up to three Cayley-Givens blocks, labelled for reports.
 
     Float blocks are built from a float t: converting an exact block would
     round differently.  Each block is built once, and each product is its
     left fold (G1 G2) G3, whose prefixes are multiplied once and shared.
+    Blocks and products are pair matrices (``_pair_mat_mul``); each
+    rotation becomes Scalars once, by one division per entry, which gives
+    the same reduced Fractions (and, with den = 1, the same doubles) as
+    ``mat_mul`` on the Scalar blocks.
     """
     exact_ts = _givens_ts()
     t_labels = list(map(str, exact_ts))
     ts = in_mode(exact_ts, mode)
     planes_used = dict.fromkeys(chain.from_iterable(ROTATION_PLANES[n]))
-    blocks = {
-        ((i, j), k): complex_givens(n, i, j, t) for i, j in planes_used for k, t in enumerate(ts)
+    pair_blocks = {
+        ((i, j), k): _to_pairs(complex_givens(n, i, j, t))
+        for i, j in planes_used
+        for k, t in enumerate(ts)
     }
-    products: dict[tuple, Matrix] = {}
+    products: dict[tuple, PairMatrix] = {}
     rotations: list[tuple[str, Matrix]] = []
     for planes in ROTATION_PLANES[n]:
         for choice in product(range(len(ts)), repeat=len(planes)):
             keys = tuple(zip(planes, choice))
-            rot = blocks[keys[0]]
+            den, rows = pair_blocks[keys[0]]
             for end in range(2, len(keys) + 1):
                 prefix = keys[:end]
                 if prefix not in products:
-                    products[prefix] = mat_mul(rot, blocks[prefix[-1]])
-                rot = products[prefix]
+                    products[prefix] = _pair_mat_mul((den, rows), pair_blocks[prefix[-1]])
+                den, rows = products[prefix]
+            rot = tuple(tuple(from_gaussian(re, im, den, mode) for re, im in row) for row in rows)
             label = "*".join(f"G({i},{j};{t_labels[k]})" for (i, j), k in keys)
             rotations.append((label, rot))
     return rotations

@@ -7,11 +7,14 @@ that returned wrong (or trivially equal) sides would disagree with them.
 Each float side is held to its exact value, and the mutation controls show
 each check able to fail on a wrong identity, in both modes.  The sweeps'
 all-degree paths, which build a point's tables once at the top degree, are
-held to one single-degree call per report.
+held to one single-degree call per report.  The binomial fold that sums
+over compositions is held to a stars-and-bars composition sum.
 """
 
 import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,6 +48,7 @@ from ghkernel.cli import _report_row
 from ghkernel.ghpoly import clearing_scale, gaussian_row, scale_to_gaussian
 from ghkernel.identities import (
     IdentityReport,
+    _binomial_fold,
     factorization_reports,
     graczyk_reports,
     inner_product_moment_identity,
@@ -269,6 +273,79 @@ def test_scaling_helpers():
     assert scale_to_gaussian(values[0], lam) == (6, 27)
     with pytest.raises(ValueError):
         scale_to_gaussian(values[0], 6)
+
+
+# ---------------------------------------------------------------------------
+# the binomial fold against the composition sum it replaces
+
+
+def compositions_of(total, n):
+    """The n-part compositions of total, by stars and bars."""
+    for bars in itertools.combinations(range(total + n - 1), n - 1):
+        edges = (-1, *bars, total + n - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def ref_multinomial_sum(total, tables):
+    """sum over |m| = total of total!/m! prod_j tables[j][m_j], in exact
+    Scalars (a double is taken at its exact binary value)."""
+    out = ZERO
+    for m in compositions_of(total, len(tables)):
+        term = exact(math.factorial(total))
+        for table, mj in zip(tables, m):
+            term = term * exact(*table[mj]) / exact(math.factorial(mj))
+        out = out + term
+    return out
+
+
+def fold_cases(draw):
+    """Seeded tables of draw(rng) pairs: n = 1..5, top 0, 10 and one
+    between."""
+    rng = random.Random(20111)
+    for n in range(1, 6):
+        for top in (0, rng.randint(1, 9), 10):
+            yield top, [[(draw(rng), draw(rng)) for _ in range(top + 1)] for _ in range(n)]
+
+
+def test_binomial_fold_matches_composition_sum():
+    for top, tables in fold_cases(lambda rng: rng.randint(-10**6, 10**6)):
+        folded = _binomial_fold(top, tables)
+        assert len(folded) == top + 1
+        for total, (re, im) in enumerate(folded):
+            assert isinstance(re, int) and isinstance(im, int)
+            assert exact(re, im) == ref_multinomial_sum(total, tables)
+
+
+def test_binomial_fold_on_doubles_matches_exact_sum():
+    """Relative to the sum of the terms' moduli, which bounds a cancelling
+    sum's rounding, the double fold agrees with the exact sum to 1e-12."""
+    for top, tables in fold_cases(lambda rng: rng.uniform(-4.0, 4.0)):
+        for total, got in enumerate(_binomial_fold(top, tables)):
+            want = complex(ref_multinomial_sum(total, tables))
+            size = sum(
+                math.factorial(total)
+                * math.prod(abs(complex(*t[mj])) / math.factorial(mj) for t, mj in zip(tables, m))
+                for m in compositions_of(total, len(tables))
+            )
+            assert abs(complex(*got) - want) <= 1e-12 * size
+
+
+def test_exact_graczyk_in_ten_dimensions_to_degree_thirty():
+    """The fold turns the composition sum, about 2e8 terms at n = 10 and
+    M = 30, into 9 folds of 496 pair products each per p."""
+    # (u+v)/2 and (u-v)/2 for u = (1,...,1,4), v = (2,0,...,0): norms 5 and 2.
+    u = (1,) * 9 + (4,)
+    v = (2,) + (0,) * 9
+    xv = tuple(exact(q(a + b, 2)) for a, b in zip(u, v))
+    yv = tuple(exact(q(a - b, 2)) for a, b in zip(u, v))
+    p_values = (exact(q(-1, 2)), exact(q(3, 2)), exact(q(1, 3), q(2, 7)))
+    start = time.perf_counter()
+    reports = graczyk_reports(range(31), xv, yv, p_values)
+    elapsed = time.perf_counter() - start
+    assert len(reports) == 31 * len(p_values)
+    assert all(r.verdict == "exact-pass" for r in reports)
+    assert reports[-1].lhs != ZERO
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -21,25 +21,25 @@ from ghkernel.cli import main
 from ghkernel.sweeps import SWEEPS, grid_description
 
 SWEEP_DIGESTS = {
-    ("graczyk", "exact"): "1105b1043096f4aa67dfd1dcc8c175fa0a50db3dbe692e5159a483e95c082a30",
-    ("rotation", "exact"): "e1548800ea6aedcc48f67b91a18333734f8e29a02b118e5b4bc6ed9a182b616d",
-    ("factorization", "exact"): "786877aeabf585a00e41de1262de2b81a57dc3229a52d495d2ad67a0327ea790",
-    ("inner-product-moments", "exact"): "916d5f6dc2c3c0678025faf8ca35e12f102f2cd04c9807b118141f17c77784ab",
-    ("matrix", "exact"): "d8853257baa1962fa2d66abe3e653342485c01f5ec20ea07776a32b672776928",
-    ("graczyk", "float"): "19cab21e4f1483ecafd9f0bd7d908df34082bb7042feb5c2239ada7fa8a51a3c",
-    ("rotation", "float"): "c689368321d99370c3f4ad35fe70721c4a98f0f235ce1a77f4bd356f5c7432fa",
-    ("factorization", "float"): "365170fa15921f4eb30ad5c8c9067732f6f2cf0d1425fc1f0308df874ed8faaf",
-    ("inner-product-moments", "float"): "c866f2b4b133dd5c558de165bc91f26ef8891322c5f2c32b2ed1103c5a077c4a",
-    ("matrix", "float"): "32c8880cc8ec9c466e84ca1b43b509002e4ebc986e98dc0b23d4036d19dc7a4a",
+    ("graczyk", "exact"): "715c36ac0c48e2bf4f764dcbf7ac956927a981a5c3248711ed76674b8ebc2077",
+    ("rotation", "exact"): "f97876ed56db8a741a012e9ff2b5115d1bf297e0f72b6da0767be3a88d004634",
+    ("factorization", "exact"): "f1a3bc6b20e5a1f6db6a24ee47f1199af12b5bb24ce8296f27019350cac09c81",
+    ("inner-product-moments", "exact"): "a24515d085621d52bb54318645038d2d048dc67e2e481575581559eff9f3161a",
+    ("matrix", "exact"): "43bb0ba65e4166599577317ac8cb33d6efd4d9a748a57ac2501702063db62f84",
+    ("graczyk", "float"): "4467c7f889b754aca26f74ddaa09a74c38fa18af77c0614d56e4837cee83ee82",
+    ("rotation", "float"): "45734e68918075067d6d2e54f2b8e7551a12bceb6d36da238a31d16566f12972",
+    ("factorization", "float"): "2620fcbbecbef082149b1cb21a48ee87c39148f518c65950ab09ecee099c5646",
+    ("inner-product-moments", "float"): "5e8eec36cd72cf9f16db53f91c0b704606b6612c1a306eb5a39b3951bd646e98",
+    ("matrix", "float"): "3a7b7e26bef1ab5de2f95dbfe7bbe2ace3f361554bc8e4febf8585dca5be90cb",
 }
 
 POINT_DIGESTS = {
     ("--xv", "3,4", "--yv", "3,4", "--p", "1"):
-        "78bbdc12b63ed97c91b0c2012b4ec085f55b450ffe29d05a4dc4b0446998674b",
+        "dcbab88ee6ff259d3d445dc953f598ca5de9d74e0dd4f606ef1fd9be4fba82e8",
     ("--xv", "3,4", "--yv", "1,-2", "--mode", "float"):
-        "09745d2505deb206b6834186f1d4020d3c03469e12859f5d1734e7d6a159f0aa",
+        "b98ce3f09f73068b15e8c40c3df604ff583e3de106c4570a33ab64da1a33936a",
     ("--xv", "3,4", "--yv", "3,4"):
-        "4d148d342cf9e726edaad379447e18ef7d3ec7d1e58c4105e577b12577a4317f",
+        "7800d1b5ba2f92e89029b03da705e51bce699ae7a25c6bee9dccb774ffa1df58",
 }
 
 # An odd count large enough that every target draws its samples in
@@ -49,16 +49,16 @@ SAMPLE_SEED = "7"
 
 SAMPLE_DIGESTS = {
     ("inner-product", "--ks"):
-        "ee197c77adfe79003053ee388ef6be608caba95241433214a902f85afdebd167",
+        "e2cce0b31bddc1b5a25c0dee047f82abdbd956165f96c82c6f0f1f6826470050",
     ("matrix",):
-        "77241f85febfab7f0330f36654b641b45c918e6bcfe5f54486b5e72f004d1373",
+        "0474809b0685191a300f6371983f515ae14b9f4cc11ad0f9b97d6efdac71656c",
     ("chi-merge",):
-        "436561aa1e67f319b23369eab68e0ddcbabc5d915d0beebb79c4b47d0b59b0de",
+        "c23705394b4675b20c46e61d15533e9bebadb73539dc932ed3b60428e1c04b29",
     # n = 1: the right-hand side draws no chi block.
     ("inner-product", "--xv", "2", "--yv", "5", "--format", "csv"):
-        "b045f64a945f881305a45a170df0e51246f6494ba182a1cc0deefa59b6392497",
+        "cdbc3466c737caeed4350bbaf422809214ed259d1b9338cb454a1aff0071e53d",
     ("matrix", "--xm", "1,2,3;4,5,6", "--ym", "0,1,0;1,0,1"):
-        "0031203c86a020e188d0a556ed489609ab51951e60f414ce7e93d9d82e0621f9",
+        "0ecdc94a610632efc778a622cf4497311c86fcd64c7331e0890328b54ac1cd46",
 }
 
 REPORT_COUNTS = {

@@ -2,14 +2,19 @@
 
 A vector pair is polarized once for all its (M, p) checks, and each Givens
 block is built once per set of default rotations, with every prefix
-product multiplied once.  Counting the calls keeps a per-check rebuild
-from coming back unnoticed; the report digests pin what the sweeps return.
+product multiplied once, on Gaussian-integer (float: double) pairs.
+Counting the calls keeps a per-check rebuild from coming back unnoticed;
+the report digests pin what the sweeps return.
 """
+
+import re
+from functools import reduce
 
 import pytest
 
 from ghkernel import identities, sweeps
-from ghkernel.scalars import EXACT, FLOAT
+from ghkernel.identities import complex_givens, mat_mul, orthogonality_check
+from ghkernel.scalars import EXACT, FLOAT, parse_scalar
 
 
 def counting(monkeypatch, module, name):
@@ -40,8 +45,32 @@ def test_each_vector_pair_is_polarized_once(monkeypatch, mode, identity, distinc
 @pytest.mark.parametrize("n, blocks, products", [(2, 4, 80), (3, 12, 96)])
 def test_each_givens_block_and_product_is_built_once(monkeypatch, mode, n, blocks, products):
     givens = counting(monkeypatch, sweeps, "complex_givens")
-    mat_mul = counting(monkeypatch, sweeps, "mat_mul")
+    pair_mat_mul = counting(monkeypatch, sweeps, "_pair_mat_mul")
     rotations = sweeps.default_rotations(n, mode)
     assert len(givens) == len(set(givens)) == blocks
-    assert len(mat_mul) == products
+    assert len(pair_mat_mul) == products
     assert len({label for label, _ in rotations}) == len(rotations)
+
+
+LABEL_BLOCK = re.compile(r"G\((\d+),(\d+);([^)]+)\)")
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_products_equal_scalar_products(mode, n):
+    """Each default rotation, multiplied on pairs, is the left fold of
+    mat_mul over the Scalar blocks its label names, to the last bit."""
+
+    def bits(matrix):
+        return [[(e.mode, repr(e.re), repr(e.im)) for e in row] for row in matrix]
+
+    for label, rot in sweeps.default_rotations(n, mode):
+        planes = LABEL_BLOCK.findall(label)
+        assert "*".join(f"G({i},{j};{t})" for i, j, t in planes) == label
+        blocks = [
+            complex_givens(n, int(i), int(j), sweeps.in_mode([parse_scalar(t)], mode)[0])
+            for i, j, t in planes
+        ]
+        assert bits(rot) == bits(reduce(mat_mul, blocks))
+        assert rot[0][0].mode == mode
+        assert orthogonality_check(rot)
