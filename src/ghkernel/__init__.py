@@ -62,7 +62,6 @@ from .identities import (
     mat_identity,
     mat_mul,
     mat_transpose,
-    mat_vec,
     matrix_moment_identity,
     matrix_polarization,
     norm_sq,
@@ -166,7 +165,6 @@ __all__ = [
     "mat_identity",
     "mat_mul",
     "mat_transpose",
-    "mat_vec",
     "matrix_moment_identity",
     "matrix_moment_sweep",
     "matrix_polarization",

@@ -26,13 +26,14 @@ from .identities import (
     IdentityReport,
     Matrix,
     Vector,
+    graczyk_reports,
     mat_flatten,
     matrix_polarization,
     polarization_pair,
 )
 from .ghpoly import gh_eval, hermite_eval
 from .scalars import EXACT, FLOAT, format_scalar, parse_scalar
-from .sweeps import P_GRID, SWEEPS, graczyk_point, grid_description, in_mode
+from .sweeps import DEGREES, P_GRID, SWEEPS, grid_description, in_mode
 
 if TYPE_CHECKING:
     import numpy as np
@@ -194,7 +195,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             p_values = (parse_scalar(args.p, config.mode),)
         else:
             p_values = in_mode(P_GRID, config.mode)
-        reports = graczyk_point(xv, yv, p_values, config.tolerance)
+        reports = graczyk_reports(DEGREES, xv, yv, p_values, config.tolerance)
         grid: dict[str, object] = {
             "explicit_point": {"xv": args.xv, "yv": args.yv, "p": args.p or "default grid"}
         }

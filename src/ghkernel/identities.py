@@ -12,12 +12,14 @@ integer accumulated as an int pair (see ``ghpoly.gaussian_row``); in float
 mode the scale is 1 and the pairs hold doubles.  Either way the side becomes
 a Scalar once, by a single division at its end.
 
-Each rule has one ``*_reports`` function that checks one point at many
-degrees: it builds what depends only on the point (the polarization pair,
-a rotation row's integers and tables, the Graczyk rows per p, the
-factorization rows and powers) once, at the top degree, and reads every
-degree from it.  The single-check function is that function called with
-one degree.
+Each rule has one ``*_reports`` function that checks one grid object and
+everything that shares its tables: a vector pair at every (M, p), a rotation
+at every degree and row, a (c, s) at every point and degree split.  It
+builds what depends only on that object (the polarization pair, the Graczyk
+rows per p, the rotation's integers and coordinate rows, the connection
+coefficients) once, at the top degree, and reads every check from it.  The
+single-check function is that function called with one degree (and one
+point).
 
 The multinomial sums over |m| = M (the Graczyk left side, the rotation
 rule's right side) are not enumerated: since sum_m g_m(x, p) t^m / m! =
@@ -60,6 +62,8 @@ WITHIN_TOLERANCE = "within-tolerance"
 FAIL = "fail"
 
 DEFAULT_FLOAT_TOLERANCE = 1e-9
+# How far a float c^2 + s^2 or O O^t may stray from 1 or I by rounding.
+ORTHOGONALITY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,12 +160,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("shape mismatch")
     bt = mat_transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
-    if len(a[0]) != len(v):
-        raise ValueError("shape mismatch")
-    return tuple(dot(row, v) for row in a)
 
 
 def mat_flatten(a: Matrix) -> Vector:
@@ -507,7 +505,7 @@ def complex_givens(n: int, i: int, j: int, t: Scalar) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def orthogonality_check(o: Matrix, tolerance: float = 1e-12) -> bool:
+def orthogonality_check(o: Matrix, tolerance: float = ORTHOGONALITY_TOLERANCE) -> bool:
     """True iff O O^t = O^t O = I under the bilinear (non-conjugated) form."""
     rows, cols = _check_rectangular(o)
     if rows != cols:
@@ -535,25 +533,25 @@ def rotation_sumrule(
     label: str | None = None,
 ) -> IdentityReport:
     """g_m((O xv)_i, p) against its multinomial expansion over rows of O."""
-    return rotation_reports((m,), o, i, xv, p, tolerance, label)[0]
+    if not (0 <= i < len(o)):
+        raise IndexError("row index out of range")
+    return rotation_reports((m,), o, xv, p, tolerance, label)[i]
 
 
 def rotation_reports(
     degrees: Sequence[int],
     o: Matrix,
-    i: int,
     xv: Sequence[Scalar],
     p: Scalar,
     tolerance: float | None = None,
     label: str | None = None,
 ) -> list[IdentityReport]:
-    """rotation_sumrule at every degree, with row i's integers, its lhs row
-    and the binomial fold of its tables built once, at the top degree."""
+    """rotation_sumrule at every degree and row, degree outer, with the
+    integers of O and xv and the coordinate rows built once, and each row's
+    lhs row and binomial fold built once, at the top degree."""
     n = len(o)
     if len(xv) != n or any(len(row) != n for row in o):
         raise ValueError("dimension mismatch")
-    if not (0 <= i < n):
-        raise IndexError("row index out of range")
     top = _top_degree(degrees)
     # With O = W / den_o and xv = X / lam, (O xv)_i is an integer over
     # den_o lam, and each term prod_j O_ij^(m_j) g_(m_j)(x_j, p) an integer
@@ -563,33 +561,36 @@ def rotation_reports(
     den_o = clearing_scale(*entries)
     lam = clearing_scale(*xv, p)
     scale = den_o * lam
-    w = [scale_to_gaussian(entry, den_o) for entry in o[i]]
     x_ints = [scale_to_gaussian(coord, lam) for coord in xv]
-    rotated = (0, 0)
-    for wj, xj in zip(w, x_ints):
-        t = _gmul(wj, xj)
-        rotated = (rotated[0] + t[0], rotated[1] + t[1])
-    lhs_row = gaussian_row(top, rotated, scale_to_gaussian(p, scale * scale))
+    p_lhs = scale_to_gaussian(p, scale * scale)
     p_int = scale_to_gaussian(p, lam * lam)
-    tables = []
-    for wj, xj in zip(w, x_ints):
-        row = gaussian_row(top, xj, p_int)
-        tables.append([_gmul(pw, g) for pw, g in zip(_gpowers(wj, top), row)])
-    rhs_row = _binomial_fold(top, tables)
-    point = {
-        "n": str(n),
-        "i": str(i),
+    coord_rows = [gaussian_row(top, xj, p_int) for xj in x_ints]
+    sides = []
+    for o_row in o:
+        w = [scale_to_gaussian(entry, den_o) for entry in o_row]
+        rotated = (0, 0)
+        for wj, xj in zip(w, x_ints):
+            t = _gmul(wj, xj)
+            rotated = (rotated[0] + t[0], rotated[1] + t[1])
+        tables = [
+            [_gmul(pw, g) for pw, g in zip(_gpowers(wj, top), row)]
+            for wj, row in zip(w, coord_rows)
+        ]
+        sides.append((gaussian_row(top, rotated, p_lhs), _binomial_fold(top, tables)))
+    shared = {
         "p": str(p),
         "xv": _fmt_vector(xv),
         "rotation": label if label is not None else _fmt_matrix(o),
     }
+    row_params = [{"n": str(n), "i": str(i), **shared} for i in range(n)]
     reports = []
     for m in degrees:
         den = scale**m
-        lhs = from_gaussian(*lhs_row[m], den, mode)
-        rhs = from_gaussian(*rhs_row[m], den, mode)
-        params = {"m": str(m), **point}
-        reports.append(make_report("rotation", params, lhs, rhs, tolerance))
+        for params_i, (lhs_row, rhs_row) in zip(row_params, sides):
+            lhs = from_gaussian(*lhs_row[m], den, mode)
+            rhs = from_gaussian(*rhs_row[m], den, mode)
+            params = {"m": str(m), **params_i}
+            reports.append(make_report("rotation", params, lhs, rhs, tolerance))
     return reports
 
 
@@ -648,63 +649,66 @@ def factorization_sumrule(
     tolerance: float | None = None,
 ) -> IdentityReport:
     """g_{m1}(cx-sy, p) g_{m2}(sx+cy, p) against its connection expansion."""
-    return factorization_reports(((m1, m2),), c, s, x, y, p, tolerance)[0]
+    return factorization_reports(((m1, m2),), c, s, ((x, y, p),), tolerance)[0]
 
 
 def factorization_reports(
     splits: Sequence[tuple[int, int]],
     c: Scalar,
     s: Scalar,
-    x: Scalar,
-    y: Scalar,
-    p: Scalar,
+    points: Sequence[tuple[Scalar, Scalar, Scalar]],
     tolerance: float | None = None,
 ) -> list[IdentityReport]:
-    """factorization_sumrule at every degree split (m1, m2), with the rows
-    and powers built once, at the top total degree."""
+    """factorization_sumrule at every point (x, y, p) and degree split
+    (m1, m2), point outer, with the connection coefficients built once per
+    (c, s) and each point's rows built once, at the top total degree."""
     if any(m1 < 0 or m2 < 0 for m1, m2 in splits):
         raise ValueError("degrees must be natural numbers")
     # With (c, s) = (cc, ss) / k and (x, y) = (X, Y) / lam, cx - sy and
     # sx + cy are integers over k lam, C_{m1,m2,r} is an integer over
     # k^(m1+m2), and both sides share the denominator (k lam)^(m1+m2).
-    mode = common_mode(c, s, x, y, p)
+    mode = common_mode(c, s, *(value for point in points for value in point))
     k = clearing_scale(c, s)
     cc, ss = scale_to_gaussian(c, k), scale_to_gaussian(s, k)
     c_sq, s_sq = _gmul(cc, cc), _gmul(ss, ss)
     gap = (c_sq[0] + s_sq[0] - k * k, c_sq[1] + s_sq[1])
     # The one mode-dependent check: exact mode allows no gap, float mode
     # allows rounding.
-    if gap != (0, 0) if mode == EXACT else math.hypot(*gap) > 1e-12:
+    if gap != (0, 0) if mode == EXACT else math.hypot(*gap) > ORTHOGONALITY_TOLERANCE:
         raise ValueError("c^2 + s^2 must equal 1")
-    lam = clearing_scale(x, y, p)
-    x_int, y_int = scale_to_gaussian(x, lam), scale_to_gaussian(y, lam)
     top = max(m1 + m2 for m1, m2 in splits)
-    scale = k * lam
-    p_lhs = scale_to_gaussian(p, scale * scale)
-    cx, sy = _gmul(cc, x_int), _gmul(ss, y_int)
-    sx, cy = _gmul(ss, x_int), _gmul(cc, y_int)
-    row_u = gaussian_row(top, (cx[0] - sy[0], cx[1] - sy[1]), p_lhs)
-    row_v = gaussian_row(top, (sx[0] + cy[0], sx[1] + cy[1]), p_lhs)
-    p_int = scale_to_gaussian(p, lam * lam)
-    row_x = gaussian_row(top, x_int, p_int)
-    row_y = gaussian_row(top, y_int, p_int)
     c_pows, s_pows = _gpowers(cc, top), _gpowers(ss, top)
-    point = {"c": str(c), "s": str(s), "x": str(x), "y": str(y), "p": str(p)}
+    coeffs = {
+        (m1, m2): [_coeff_C_gaussian(m1, m2, r, c_pows, s_pows) for r in range(m1 + m2 + 1)]
+        for m1, m2 in splits
+    }
     reports = []
-    for m1, m2 in splits:
-        total = m1 + m2
-        lhs_re, lhs_im = _gmul(row_u[m1], row_v[m2])
-        rhs_re = rhs_im = 0
-        for r in range(total + 1):
-            coeff = _coeff_C_gaussian(m1, m2, r, c_pows, s_pows)
-            term = _gmul(coeff, _gmul(row_x[r], row_y[total - r]))
-            rhs_re += term[0]
-            rhs_im += term[1]
-        den = scale**total
-        lhs = from_gaussian(lhs_re, lhs_im, den, mode)
-        rhs = from_gaussian(rhs_re, rhs_im, den, mode)
-        params = {"m1": str(m1), "m2": str(m2), **point}
-        reports.append(make_report("factorization", params, lhs, rhs, tolerance))
+    for x, y, p in points:
+        lam = clearing_scale(x, y, p)
+        x_int, y_int = scale_to_gaussian(x, lam), scale_to_gaussian(y, lam)
+        scale = k * lam
+        p_lhs = scale_to_gaussian(p, scale * scale)
+        cx, sy = _gmul(cc, x_int), _gmul(ss, y_int)
+        sx, cy = _gmul(ss, x_int), _gmul(cc, y_int)
+        row_u = gaussian_row(top, (cx[0] - sy[0], cx[1] - sy[1]), p_lhs)
+        row_v = gaussian_row(top, (sx[0] + cy[0], sx[1] + cy[1]), p_lhs)
+        p_int = scale_to_gaussian(p, lam * lam)
+        row_x = gaussian_row(top, x_int, p_int)
+        row_y = gaussian_row(top, y_int, p_int)
+        point = {"c": str(c), "s": str(s), "x": str(x), "y": str(y), "p": str(p)}
+        for m1, m2 in splits:
+            total = m1 + m2
+            lhs_re, lhs_im = _gmul(row_u[m1], row_v[m2])
+            rhs_re = rhs_im = 0
+            for r, coeff in enumerate(coeffs[m1, m2]):
+                term = _gmul(coeff, _gmul(row_x[r], row_y[total - r]))
+                rhs_re += term[0]
+                rhs_im += term[1]
+            den = scale**total
+            lhs = from_gaussian(lhs_re, lhs_im, den, mode)
+            rhs = from_gaussian(rhs_re, rhs_im, den, mode)
+            params = {"m1": str(m1), "m2": str(m2), **point}
+            reports.append(make_report("factorization", params, lhs, rhs, tolerance))
     return reports
 
 

@@ -9,8 +9,9 @@ every verdict at zero residual instead of a float tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .ghpoly import GaussianInt, clearing_scale, from_gaussian, scale_to_gaussian
 from .identities import (
@@ -150,20 +151,13 @@ def exact_pair_pool(n: int, mode: str = EXACT) -> list[tuple[Vector, Vector]]:
     return [(in_mode(x, mode), in_mode(y, mode)) for x, y in pairs]
 
 
-def graczyk_point(
-    xv: Vector, yv: Vector, p_values: Sequence[Scalar], tolerance: float | None
-) -> list[IdentityReport]:
-    """Inner-product sum rule at one vector pair, for M = 0..M_MAX."""
-    return graczyk_reports(DEGREES, xv, yv, p_values, tolerance)
-
-
 def graczyk_sweep(mode: str = EXACT, tolerance: float | None = None) -> list[IdentityReport]:
     """Inner-product sum rule over the full default grid."""
     p_values = in_mode(P_GRID, mode)
     reports = []
     for n in GRACZYK_N_VALUES:
         for xv, yv in exact_pair_pool(n, mode):
-            reports += graczyk_point(xv, yv, p_values, tolerance)
+            reports += graczyk_reports(DEGREES, xv, yv, p_values, tolerance)
     return reports
 
 
@@ -206,11 +200,10 @@ def default_rotations(n: int, mode: str = EXACT) -> list[tuple[str, Matrix]]:
 
     Float blocks are built from a float t: converting an exact block would
     round differently.  Each block is built once, and each product is its
-    left fold (G1 G2) G3, whose prefixes are multiplied once and shared.
-    Blocks and products are pair matrices (``_pair_mat_mul``); each
-    rotation becomes Scalars once, by one division per entry, which gives
-    the same reduced Fractions (and, with den = 1, the same doubles) as
-    ``mat_mul`` on the Scalar blocks.
+    left fold (G1 G2) G3.  Blocks and products are pair matrices
+    (``_pair_mat_mul``); each rotation becomes Scalars once, by one division
+    per entry, which gives the same reduced Fractions (and, with den = 1,
+    the same doubles) as ``mat_mul`` on the Scalar blocks.
     """
     exact_ts = _givens_ts()
     t_labels = list(map(str, exact_ts))
@@ -221,17 +214,11 @@ def default_rotations(n: int, mode: str = EXACT) -> list[tuple[str, Matrix]]:
         for i, j in planes_used
         for k, t in enumerate(ts)
     }
-    products: dict[tuple, PairMatrix] = {}
     rotations: list[tuple[str, Matrix]] = []
     for planes in ROTATION_PLANES[n]:
         for choice in product(range(len(ts)), repeat=len(planes)):
             keys = tuple(zip(planes, choice))
-            den, rows = pair_blocks[keys[0]]
-            for end in range(2, len(keys) + 1):
-                prefix = keys[:end]
-                if prefix not in products:
-                    products[prefix] = _pair_mat_mul((den, rows), pair_blocks[prefix[-1]])
-                den, rows = products[prefix]
+            den, rows = reduce(_pair_mat_mul, [pair_blocks[key] for key in keys])
             rot = tuple(tuple(from_gaussian(re, im, den, mode) for re, im in row) for row in rows)
             label = "*".join(f"G({i},{j};{t_labels[k]})" for (i, j), k in keys)
             rotations.append((label, rot))
@@ -245,10 +232,7 @@ def rotation_sweep(mode: str = EXACT, tolerance: float | None = None) -> list[Id
     for n, vector in ROTATION_VECTORS.items():
         xv = in_mode(vector, mode)
         for label, rot in default_rotations(n, mode):
-            rows = [rotation_reports(DEGREES, rot, i, xv, p, tolerance, label) for i in range(n)]
-            # Reports run degree by degree, the rows inside each degree.
-            for same_degree in zip(*rows):
-                reports += same_degree
+            reports += rotation_reports(DEGREES, rot, xv, p, tolerance, label)
     return reports
 
 
@@ -268,11 +252,10 @@ def factorization_sweep(
         for m1 in range(FACTORIZATION_DEGREE_MAX + 1)
         for m2 in range(FACTORIZATION_DEGREE_MAX + 1 - m1)
     ]
+    points = [in_mode(point, mode) for point in FACTORIZATION_POINTS]
     reports = []
     for c, s in default_cs_pairs(mode):
-        for point in FACTORIZATION_POINTS:
-            x, y, p = in_mode(point, mode)
-            reports += factorization_reports(splits, c, s, x, y, p, tolerance)
+        reports += factorization_reports(splits, c, s, points, tolerance)
     return reports
 
 

@@ -42,6 +42,7 @@ from ghkernel import (
     mat_mul,
     polarization_pair,
     rotation_sumrule,
+    sweeps,
     to_float,
 )
 from ghkernel.cli import _report_row
@@ -433,8 +434,9 @@ def assert_same_rows(batch, singles):
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_rotation_reports_match_single_degree_calls(mode):
     o, xv, p = as_mode((OFF_GRID_ROTATION, ROTATION_XV, P_VALUES[0]), mode)
+    every_row = rotation_reports(range(11), o, xv, p, label="O")
     for i in range(3):
-        batch = rotation_reports(range(11), o, i, xv, p, label="O")
+        batch = every_row[i::3]
         singles = [rotation_sumrule(m, o, i, xv, p, label="O") for m in range(11)]
         assert_same_rows(batch, singles)
         if mode == EXACT:
@@ -448,7 +450,7 @@ def test_factorization_reports_match_single_degree_calls(mode):
     c, s = as_mode(OFF_GRID_CS, mode)
     x, y, p = as_mode(OFF_GRID_POINT, mode)
     splits = [(m1, m2) for m1 in range(13) for m2 in range(13 - m1)]
-    batch = factorization_reports(splits, c, s, x, y, p)
+    batch = factorization_reports(splits, c, s, ((x, y, p),))
     singles = [factorization_sumrule(m1, m2, c, s, x, y, p) for m1, m2 in splits]
     assert_same_rows(batch, singles)
     if mode == EXACT:
@@ -457,14 +459,41 @@ def test_factorization_reports_match_single_degree_calls(mode):
             assert report.passed
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_factorization_reports_over_points_match_one_call_per_point(mode):
+    """One call over several points, sharing the (c, s) coefficients, gives
+    the reports of one call per point, concatenated."""
+    c, s = as_mode(OFF_GRID_CS, mode)
+    points = [sweeps.in_mode(point, mode) for point in sweeps.FACTORIZATION_POINTS]
+    points.append(as_mode(OFF_GRID_POINT, mode))
+    splits = [(m1, m2) for m1 in range(9) for m2 in range(9 - m1)]
+    per_point = [r for point in points for r in factorization_reports(splits, c, s, (point,))]
+    assert_same_rows(factorization_reports(splits, c, s, points), per_point)
+
+
+def test_factorization_reports_reject_a_mode_mismatch_at_any_point():
+    c, s = OFF_GRID_CS
+    points = [OFF_GRID_POINT, FACTORIZATION_POINTS[1], FACTORIZATION_POINTS[2]]
+    for at in range(len(points)):
+        for floated in ({0}, {1}, {2}, {0, 1, 2}):
+            mixed = list(points)
+            mixed[at] = tuple(
+                to_float(v) if j in floated else v for j, v in enumerate(points[at])
+            )
+            with pytest.raises(ModeMismatchError):
+                factorization_reports(((2, 1),), c, s, mixed)
+    with pytest.raises(ModeMismatchError):
+        factorization_reports(((2, 1),), to_float(c), to_float(s), points)
+
+
 def test_reports_reject_a_negative_degree_beside_larger_ones():
     """A negative degree must not index a row built for a larger one."""
     c, s = OFF_GRID_CS
     x, y, p = OFF_GRID_POINT
     with pytest.raises(ValueError):
-        rotation_reports((3, -1), OFF_GRID_ROTATION, 0, ROTATION_XV, p)
+        rotation_reports((3, -1), OFF_GRID_ROTATION, ROTATION_XV, p)
     with pytest.raises(ValueError):
-        factorization_reports(((3, 2), (-1, 3)), c, s, x, y, p)
+        factorization_reports(((3, 2), (-1, 3)), c, s, ((x, y, p),))
     with pytest.raises(ValueError):
         factorization_sumrule(4, -1, c, s, x, y, p)
 

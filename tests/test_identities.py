@@ -24,7 +24,6 @@ from ghkernel import (
     inner_product_moment_identity,
     mat_identity,
     mat_mul,
-    mat_vec,
     matrix_moment_identity,
     matrix_polarization,
     norm_sq,
@@ -244,7 +243,9 @@ def test_bilinear_form_is_rotation_invariant():
         for _ in range(10):
             u = tuple(exact(rand_rational(rng)) for _ in range(3))
             v = tuple(exact(rand_rational(rng)) for _ in range(3))
-            assert dot(mat_vec(rot, u), mat_vec(rot, v)) == dot(u, v)
+            # O u as the one-column matrix O (u), flattened back to a vector.
+            ou, ov = (mat_flatten(mat_mul(rot, tuple((a,) for a in w))) for w in (u, v))
+            assert dot(ou, ov) == dot(u, v)
 
 
 # ---------------------------------------------------------------------------

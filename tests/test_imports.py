@@ -4,7 +4,8 @@
 without numpy; `sample` needs numpy, and no command loads scipy, not even
 the `--ks` diagnostic.  Only `sample` runs a worker thread, so only it
 loads `concurrent.futures`.  Each case runs in a fresh interpreter, since
-this test process may have imported all of them.
+this test process may have imported all of them.  The package metadata
+takes its version from the package itself.
 """
 
 import os
@@ -120,3 +121,15 @@ def test_lazy_exports_are_the_sampling_objects():
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         ghkernel.no_such_name
+
+
+def test_version_is_stated_once():
+    """pyproject.toml declares the version dynamic, read from
+    ghkernel.__version__, instead of repeating it."""
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "ghkernel.__version__"
+    }

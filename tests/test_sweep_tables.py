@@ -1,8 +1,8 @@
 """Each sweep builds a grid point's tables once.
 
 A vector pair is polarized once for all its (M, p) checks, and each Givens
-block is built once per set of default rotations, with every prefix
-product multiplied once, on Gaussian-integer (float: double) pairs.
+block is built once per set of default rotations; each rotation is the
+left fold of its blocks on Gaussian-integer (float: double) pairs.
 Counting the calls keeps a per-check rebuild from coming back unnoticed;
 the report digests pin what the sweeps return.
 """
@@ -42,13 +42,18 @@ def test_each_vector_pair_is_polarized_once(monkeypatch, mode, identity, distinc
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-@pytest.mark.parametrize("n, blocks, products", [(2, 4, 80), (3, 12, 96)])
-def test_each_givens_block_and_product_is_built_once(monkeypatch, mode, n, blocks, products):
+@pytest.mark.parametrize("n, blocks, products", [(2, 4, 144), (3, 12, 144)])
+def test_each_givens_block_is_built_once(monkeypatch, mode, n, blocks, products):
     givens = counting(monkeypatch, sweeps, "complex_givens")
     pair_mat_mul = counting(monkeypatch, sweeps, "_pair_mat_mul")
     rotations = sweeps.default_rotations(n, mode)
     assert len(givens) == len(set(givens)) == blocks
-    assert len(pair_mat_mul) == products
+    # One product per block after the first, in every rotation's fold.
+    folds = sum(
+        (len(planes) - 1) * len(sweeps.GIVENS_T_VALUES) ** len(planes)
+        for planes in sweeps.ROTATION_PLANES[n]
+    )
+    assert len(pair_mat_mul) == folds == products
     assert len({label for label, _ in rotations}) == len(rotations)
 
 
