@@ -1,0 +1,46 @@
+"""The package's one value-record idiom: immutable ``__slots__`` classes.
+
+A record class lists its fields, two or more, in order, in ``__slots__``
+and writes its own ``__init__``, storing each field with ``_set``
+(``object.__setattr__``), since assignment on an instance raises
+:class:`AttributeError`.  The base class gives value equality between
+instances of the same class, the hash of the tuple of fields, a
+``Name(field=value, ...)`` repr, and pickling and copying through the
+constructor: what a frozen dataclass gave, without importing
+``dataclasses`` and ``inspect`` at start-up.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+_set = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values)
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._values

@@ -5,6 +5,12 @@ Exit codes: 0 when every check passes, 1 when a mathematical check fails,
 sorted keys, two-space indent) or CSV with the same columns; exact values
 are serialized as fraction strings so zero-residual results survive the
 trip to disk.
+
+The JSON text is written by `canonical_json`, a small recursive writer
+that gives the bytes of `json.dumps(obj, indent=2, sort_keys=True)` and
+escapes strings with json's C escaper: `json.dumps` with an indent falls
+back to the pure-Python encoder.  The CSV rows go through one `csv.writer`,
+with one reused JSON encoder for their `params`.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
+from ._record import Record, _set
 from .defaults import DEFAULT_COUNT, DEFAULT_ORDER, DEFAULT_Z
 from .identities import (
     DEFAULT_FLOAT_TOLERANCE,
@@ -51,8 +57,7 @@ SAMPLE_OPTIONS: dict[str, dict[str, object]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Validated options for one command invocation.
 
     Exact mode takes no tolerance; float mode demands a finite positive
@@ -60,29 +65,98 @@ class RunConfig:
     which must be finite and positive too, and leave `tolerance` unset.
     """
 
-    mode: str = EXACT
-    tolerance: float | None = None
-    seed: int = 0
-    count: int = DEFAULT_COUNT
-    order: int = DEFAULT_ORDER
-    z: float = DEFAULT_Z
+    __slots__ = ("mode", "tolerance", "seed", "count", "order", "z")
+    mode: str
+    tolerance: float | None
+    seed: int
+    count: int
+    order: int
+    z: float
 
-    def __post_init__(self) -> None:
-        if self.mode == EXACT and self.tolerance is not None:
+    def __init__(
+        self,
+        mode: str = EXACT,
+        tolerance: float | None = None,
+        seed: int = 0,
+        count: int = DEFAULT_COUNT,
+        order: int = DEFAULT_ORDER,
+        z: float = DEFAULT_Z,
+    ) -> None:
+        if mode == EXACT and tolerance is not None:
             raise ValueError("exact mode has no tolerance")
-        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+        if tolerance is not None and not 0 < tolerance < math.inf:
             raise ValueError("float mode needs a finite positive tolerance")
-        if not 0 < self.z < math.inf:
+        if not 0 < z < math.inf:
             raise ValueError("the z threshold must be finite and positive")
-        if self.count < 2:
+        if count < 2:
             raise ValueError("--count must be at least 2")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("--order must be at least 1")
+        _set(self, "mode", mode)
+        _set(self, "tolerance", tolerance)
+        _set(self, "seed", seed)
+        _set(self, "count", count)
+        _set(self, "order", order)
+        _set(self, "z", z)
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # C-backed in CPython
+
+
+def _json_atom(value: object) -> str:
+    """JSON text of a non-string leaf, as `json.dumps` writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value: object, indent: str) -> str:
+    """JSON text of `value` whose first line sits at `indent`: two spaces
+    more per level, keys sorted, strings by the C escaper."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            items.append(
+                _encode_str(key if isinstance(key, str) else _json_atom(key))
+                + ": "
+                + (_encode_str(item) if isinstance(item, str) else _json_text(item, inner))
+            )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            _encode_str(item) if isinstance(item, str) else _json_text(item, inner)
+            for item in value
+        ]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    return _json_atom(value)
 
 
 def canonical_json(obj: object) -> str:
-    """Canonical serialization; loads + dumps reproduces identical bytes."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: the bytes of `json.dumps(obj, indent=2,
+    sort_keys=True)` and a newline; loads + dumps reproduces them."""
+    return _json_text(obj, "") + "\n"
 
 
 def _parse_vector(text: str, mode: str) -> Vector:
@@ -110,12 +184,14 @@ def _parse_real(text: str, mode: str = FLOAT) -> float:
 
 
 def _report_row(report: IdentityReport) -> dict[str, object]:
+    lhs = format_scalar(report.lhs)
     return {
         "identity": report.identity,
         "mode": report.mode,
         "params": report.params,
-        "lhs": format_scalar(report.lhs),
-        "rhs": format_scalar(report.rhs),
+        "lhs": lhs,
+        # An exact check whose sides' integers agree has one Scalar for both.
+        "rhs": lhs if report.rhs is report.lhs else format_scalar(report.rhs),
         "residual": format_scalar(report.residual),
         "verdict": report.verdict,
         "spec_version": SPEC_VERSION,
@@ -134,14 +210,18 @@ CSV_COLUMNS = (
 )
 
 
+# `json.dumps(params, sort_keys=True)`, without building an encoder per row.
+_params_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def _rows_to_csv(rows: Sequence[dict[str, object]]) -> str:
+    """One CSV line per row, in `CSV_COLUMNS` order, `params` as JSON."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        flat = dict(row)
-        flat["params"] = json.dumps(row["params"], sort_keys=True)
-        writer.writerow(flat)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        [_params_json(row[c]) if c == "params" else row[c] for c in CSV_COLUMNS] for row in rows
+    )
     return buffer.getvalue()
 
 

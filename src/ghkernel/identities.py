@@ -30,10 +30,10 @@ rows (``_binomial_fold``), which gives every degree at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record, _set
 from .ghpoly import (
     GaussianInt,
     clearing_scale,
@@ -64,25 +64,31 @@ FAIL = "fail"
 DEFAULT_FLOAT_TOLERANCE = 1e-9
 # How far a float c^2 + s^2 or O O^t may stray from 1 or I by rounding.
 ORTHOGONALITY_TOLERANCE = 1e-12
+# The residual of every exact check with equal sides.
+_EXACT_ZERO = zero(EXACT)
 
 
-@dataclass(frozen=True)
-class PolarizationPair:
+class PolarizationPair(Record):
     """The two scalars (|u+v| +/- |u-v|) / 2 carrying a vector pair's norms
     and inner product; x >= |y| always."""
 
+    __slots__ = ("x", "y")
     x: Scalar
     y: Scalar
+
+    def __init__(self, x: Scalar, y: Scalar) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     @property
     def mode(self) -> str:
         return self.x.mode
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one identity check at one parameter point."""
 
+    __slots__ = ("identity", "params", "lhs", "rhs", "residual", "mode", "verdict")
     identity: str
     params: dict[str, str]
     lhs: Scalar
@@ -90,6 +96,24 @@ class IdentityReport:
     residual: Scalar
     mode: str
     verdict: str
+
+    def __init__(
+        self,
+        identity: str,
+        params: dict[str, str],
+        lhs: Scalar,
+        rhs: Scalar,
+        residual: Scalar,
+        mode: str,
+        verdict: str,
+    ) -> None:
+        _set(self, "identity", identity)
+        _set(self, "params", params)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "residual", residual)
+        _set(self, "mode", mode)
+        _set(self, "verdict", verdict)
 
     @property
     def passed(self) -> bool:
@@ -109,13 +133,15 @@ def make_report(
     rhs: Scalar,
     tolerance: float | None = None,
 ) -> IdentityReport:
-    residual = lhs - rhs
+    """The report of one check.  An exact check passes on equal sides, with
+    the shared zero residual; only a failing one pays for the subtraction."""
     if lhs.mode == EXACT:
-        verdict = EXACT_PASS if residual.is_zero() else FAIL
-    else:
-        tol = DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
-        verdict = WITHIN_TOLERANCE if relative_residual(lhs, rhs) <= tol else FAIL
-    return IdentityReport(identity, params, lhs, rhs, residual, lhs.mode, verdict)
+        if lhs == rhs:
+            return IdentityReport(identity, params, lhs, rhs, _EXACT_ZERO, EXACT, EXACT_PASS)
+        return IdentityReport(identity, params, lhs, rhs, lhs - rhs, EXACT, FAIL)
+    tol = DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
+    verdict = WITHIN_TOLERANCE if relative_residual(lhs, rhs) <= tol else FAIL
+    return IdentityReport(identity, params, lhs, rhs, lhs - rhs, lhs.mode, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +238,18 @@ def _binomial_fold(top: int, tables: Sequence[Sequence[GaussianInt]]) -> list[Ga
             folded.append((re, im))
         acc = folded
     return acc
+
+
+def _side_scalars(
+    lhs: GaussianInt, rhs: GaussianInt, den: int, mode: str
+) -> tuple[Scalar, Scalar]:
+    """Both sides over their shared denominator.  Equal exact pairs make one
+    Scalar, both sides' object; float sides never share one, since 0.0 ==
+    -0.0 while the two print differently."""
+    if mode == EXACT and lhs == rhs:
+        side = from_gaussian(*lhs, den, EXACT)
+        return side, side
+    return from_gaussian(*lhs, den, mode), from_gaussian(*rhs, den, mode)
 
 
 def _top_degree(degrees: Sequence[int]) -> int:
@@ -587,8 +625,7 @@ def rotation_reports(
     for m in degrees:
         den = scale**m
         for params_i, (lhs_row, rhs_row) in zip(row_params, sides):
-            lhs = from_gaussian(*lhs_row[m], den, mode)
-            rhs = from_gaussian(*rhs_row[m], den, mode)
+            lhs, rhs = _side_scalars(lhs_row[m], rhs_row[m], den, mode)
             params = {"m": str(m), **params_i}
             reports.append(make_report("rotation", params, lhs, rhs, tolerance))
     return reports
@@ -704,9 +741,7 @@ def factorization_reports(
                 term = _gmul(coeff, _gmul(row_x[r], row_y[total - r]))
                 rhs_re += term[0]
                 rhs_im += term[1]
-            den = scale**total
-            lhs = from_gaussian(lhs_re, lhs_im, den, mode)
-            rhs = from_gaussian(rhs_re, rhs_im, den, mode)
+            lhs, rhs = _side_scalars((lhs_re, lhs_im), (rhs_re, rhs_im), scale**total, mode)
             params = {"m1": str(m1), "m2": str(m2), **point}
             reports.append(make_report("factorization", params, lhs, rhs, tolerance))
     return reports

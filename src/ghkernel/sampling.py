@@ -20,22 +20,26 @@ needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._record import Record, _set
 from .defaults import DEFAULT_ORDER, DEFAULT_Z
 from .identities import PolarizationPair
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(Record):
     """Addressable randomness source: (seed, stream_id) pins the sequence."""
 
+    __slots__ = ("seed", "stream_id")
     seed: int
-    stream_id: int = 0
+    stream_id: int
+
+    def __init__(self, seed: int, stream_id: int = 0) -> None:
+        _set(self, "seed", seed)
+        _set(self, "stream_id", stream_id)
 
     def generator(self, offset: int = 0) -> np.random.Generator:
         """The stream's generator, advanced past its first `offset` outputs.
@@ -258,13 +262,20 @@ def matrix_trace_rhs_samples(
     return inner_product_rhs_samples(pair, size, 1.0, stream, count)
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(Record):
     """Empirical moments of orders 1..K with their standard errors."""
 
+    __slots__ = ("count", "moments", "std_errors")
     count: int
     moments: tuple[float, ...]
     std_errors: tuple[float, ...]
+
+    def __init__(
+        self, count: int, moments: tuple[float, ...], std_errors: tuple[float, ...]
+    ) -> None:
+        _set(self, "count", count)
+        _set(self, "moments", moments)
+        _set(self, "std_errors", std_errors)
 
     def order(self) -> int:
         return len(self.moments)
@@ -316,11 +327,11 @@ def collect_stats(samples: np.ndarray, order: int = DEFAULT_ORDER) -> SampleStat
 _ROUNDING_FLOOR = 8 * 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class MomentVerdict:
+class MomentVerdict(Record):
     """One order's comparison; `z_score` is None when the combined standard
     error is zero, where a z-score is undefined."""
 
+    __slots__ = ("order", "lhs", "rhs", "difference", "tolerance", "z_score", "passed")
     order: int
     lhs: float
     rhs: float
@@ -328,6 +339,24 @@ class MomentVerdict:
     tolerance: float
     z_score: float | None
     passed: bool
+
+    def __init__(
+        self,
+        order: int,
+        lhs: float,
+        rhs: float,
+        difference: float,
+        tolerance: float,
+        z_score: float | None,
+        passed: bool,
+    ) -> None:
+        _set(self, "order", order)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "difference", difference)
+        _set(self, "tolerance", tolerance)
+        _set(self, "z_score", z_score)
+        _set(self, "passed", passed)
 
 
 def _verdict(

@@ -11,12 +11,14 @@ combining them raises :class:`ModeMismatchError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record, _set
+
 EXACT = "exact"
 FLOAT = "float"
+_MODES = (EXACT, FLOAT)
 
 RationalLike = Union[int, float, str, Fraction]
 
@@ -29,21 +31,24 @@ class NotExactlyRepresentableError(ArithmeticError):
     """An exact-mode result would require an irrational value."""
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Record):
     """A complex number tagged with its arithmetic mode.
 
     ``re`` and ``im`` are Fractions in exact mode and floats in float mode.
     Instances are immutable; all operations return new values.
     """
 
+    __slots__ = ("mode", "re", "im")
     mode: str
     re: Fraction | float
     im: Fraction | float
 
-    def __post_init__(self) -> None:
-        if self.mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {self.mode!r}")
+    def __init__(self, mode: str, re: Fraction | float, im: Fraction | float) -> None:
+        if mode not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        _set(self, "mode", mode)
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     def _join(self, other: object) -> "Scalar":
         if not isinstance(other, Scalar):

@@ -31,12 +31,14 @@ from ghkernel import (
     complex_givens,
     exact,
     factorization_sumrule,
+    format_scalar,
     gh_eval,
     gh_eval_recurrence,
     gh_moment_oracle,
     graczyk_identity,
     graczyk_lhs,
     graczyk_rhs,
+    identities,
     lift,
     mat_identity,
     mat_mul,
@@ -571,6 +573,79 @@ def test_factorization_with_sign_flipped_expansion_fails():
                     "factorization", {}, right.lhs, flipped.rhs, MUTATION_TOLERANCE
                 )
                 assert report.verdict == FAIL
+
+
+# ---------------------------------------------------------------------------
+# exact verdicts on the sides' integers: equal pairs share one Scalar
+
+
+def plus_one(pair):
+    return pair[0] + 1, pair[1]
+
+
+def assert_fail_with_true_residual(reports):
+    for report in reports:
+        assert report.verdict == FAIL
+        assert report.lhs is not report.rhs
+        assert report.residual == report.lhs - report.rhs
+        assert format_scalar(report.rhs) != format_scalar(report.lhs)
+
+
+def test_rotation_rhs_one_integer_off_fails(monkeypatch):
+    """Every entry of the right side's fold moved by 1 over the shared
+    denominator: no report may take the equal-integers path."""
+    fold = identities._binomial_fold
+    monkeypatch.setattr(
+        identities, "_binomial_fold", lambda top, tables: [plus_one(v) for v in fold(top, tables)]
+    )
+    reports = rotation_reports(range(7), OFF_GRID_ROTATION, ROTATION_XV, P_VALUES[0])
+    assert len(reports) == 21
+    assert_fail_with_true_residual(reports)
+
+
+def test_factorization_rhs_one_integer_off_fails(monkeypatch):
+    """Every connection coefficient moved by 1 moves each right side's
+    integer by sum_r g_r(x) g_(m1+m2-r)(y), nonzero at this point."""
+    coefficient = identities._coeff_C_gaussian
+    monkeypatch.setattr(
+        identities, "_coeff_C_gaussian", lambda *args: plus_one(coefficient(*args))
+    )
+    c, s = OFF_GRID_CS
+    splits = [(m1, m2) for m1 in range(5) for m2 in range(5 - m1)]
+    reports = factorization_reports(splits, c, s, (OFF_GRID_POINT,))
+    assert len(reports) == len(splits)
+    assert_fail_with_true_residual(reports)
+
+
+def test_passing_exact_sides_share_one_scalar():
+    c, s = OFF_GRID_CS
+    reports = [
+        *rotation_reports(range(7), OFF_GRID_ROTATION, ROTATION_XV, P_VALUES[0]),
+        *factorization_reports([(2, 3), (4, 0)], c, s, (OFF_GRID_POINT,)),
+    ]
+    for report in reports:
+        assert report.verdict == "exact-pass"
+        assert report.lhs is report.rhs
+        assert report.residual == ZERO
+
+
+def test_float_sides_never_share_a_scalar():
+    """Float sides equal as numbers still differ in print: at this point
+    the left side is -0.0 and the right side 0.0."""
+    c, s, x, y, p = (to_float(v) for v in (ONE, ZERO, ONE, exact(2), exact(q(-1, 2))))
+    (report,) = factorization_reports([(2, 4)], c, s, ((x, y, p),))
+    assert (format_scalar(report.lhs), format_scalar(report.rhs)) == ("-0.0", "0.0")
+    o, xv, p = as_mode((OFF_GRID_ROTATION, ROTATION_XV, P_VALUES[0]), FLOAT)
+    reports = [
+        report,
+        *rotation_reports(range(7), o, xv, p),
+        *factorization_reports([(2, 3), (4, 0)], *as_mode(OFF_GRID_CS, FLOAT), ((x, y, p),)),
+        *sweeps.SWEEPS["matrix"](mode=FLOAT, tolerance=MUTATION_TOLERANCE),
+    ]
+    for report in reports:
+        assert report.passed
+        assert report.lhs is not report.rhs
+        assert report.residual is not report.lhs
 
 
 # ---------------------------------------------------------------------------

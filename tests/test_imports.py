@@ -4,8 +4,9 @@
 without numpy; `sample` needs numpy, and no command loads scipy, not even
 the `--ks` diagnostic.  Only `sample` runs a worker thread, so only it
 loads `concurrent.futures`.  Each case runs in a fresh interpreter, since
-this test process may have imported all of them.  The package metadata
-takes its version from the package itself.
+this test process may have imported all of them.  No command loads
+`dataclasses` or `inspect`.  The package metadata takes its version from
+the package itself.
 """
 
 import os
@@ -60,6 +61,17 @@ def test_verify_skips_numpy_and_scipy(tmp_path, mode):
     out = str(tmp_path / "report.json")
     code = run_cli("verify", "matrix", "--mode", mode, "--out", out)
     assert heavy_modules_after(code) == set()
+
+
+@pytest.mark.parametrize("mode", [None, "exact", "float"])
+def test_cli_import_and_verify_skip_dataclasses_and_inspect(tmp_path, mode):
+    """The records are plain `__slots__` classes: no command pays for
+    `dataclasses`, which imports `inspect`."""
+    if mode is None:
+        code = "import ghkernel.cli\n"
+    else:
+        code = run_cli("verify", "rotation", "--mode", mode, "--out", str(tmp_path / "r.json"))
+    assert heavy_modules_after(code, ("dataclasses", "inspect")) == set()
 
 
 def test_sample_loads_numpy_but_not_scipy(tmp_path):
