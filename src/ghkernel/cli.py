@@ -10,7 +10,7 @@ The JSON text is written by `canonical_json`, a small recursive writer
 that gives the bytes of `json.dumps(obj, indent=2, sort_keys=True)` and
 escapes strings with json's C escaper: `json.dumps` with an indent falls
 back to the pure-Python encoder.  The CSV rows go through one `csv.writer`,
-with one reused JSON encoder for their `params`.
+with their `params` in the same writer's one-line layout.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
-from ._record import Record, _set
 from .defaults import DEFAULT_COUNT, DEFAULT_ORDER, DEFAULT_Z
 from .identities import (
     DEFAULT_FLOAT_TOLERANCE,
@@ -57,49 +56,6 @@ SAMPLE_OPTIONS: dict[str, dict[str, object]] = {
 }
 
 
-class RunConfig(Record):
-    """Validated options for one command invocation.
-
-    Exact mode takes no tolerance; float mode demands a finite positive
-    one.  Monte Carlo commands derive their per-moment tolerances from z,
-    which must be finite and positive too, and leave `tolerance` unset.
-    """
-
-    __slots__ = ("mode", "tolerance", "seed", "count", "order", "z")
-    mode: str
-    tolerance: float | None
-    seed: int
-    count: int
-    order: int
-    z: float
-
-    def __init__(
-        self,
-        mode: str = EXACT,
-        tolerance: float | None = None,
-        seed: int = 0,
-        count: int = DEFAULT_COUNT,
-        order: int = DEFAULT_ORDER,
-        z: float = DEFAULT_Z,
-    ) -> None:
-        if mode == EXACT and tolerance is not None:
-            raise ValueError("exact mode has no tolerance")
-        if tolerance is not None and not 0 < tolerance < math.inf:
-            raise ValueError("float mode needs a finite positive tolerance")
-        if not 0 < z < math.inf:
-            raise ValueError("the z threshold must be finite and positive")
-        if count < 2:
-            raise ValueError("--count must be at least 2")
-        if order < 1:
-            raise ValueError("--order must be at least 1")
-        _set(self, "mode", mode)
-        _set(self, "tolerance", tolerance)
-        _set(self, "seed", seed)
-        _set(self, "count", count)
-        _set(self, "order", order)
-        _set(self, "z", z)
-
-
 _encode_str = json.encoder.encode_basestring_ascii  # C-backed in CPython
 
 
@@ -124,10 +80,12 @@ def _json_atom(value: object) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_text(value: object, indent: str) -> str:
-    """JSON text of `value` whose first line sits at `indent`: two spaces
-    more per level, keys sorted, strings by the C escaper."""
-    inner = indent + "  "
+def _json_text(value: object, indent: str | None) -> str:
+    """JSON text of `value`, keys sorted, strings by the C escaper: on one
+    line, as `json.dumps` lays it out, when `indent` is None, else with its
+    first line at `indent` and two spaces more per level."""
+    inner = None if indent is None else indent + "  "
+    head, sep, tail = ("\n" + inner, ",\n" + inner, "\n" + indent) if inner else ("", ", ", "")
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -139,7 +97,7 @@ def _json_text(value: object, indent: str) -> str:
                 + ": "
                 + (_encode_str(item) if isinstance(item, str) else _json_text(item, inner))
             )
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        return "{" + head + sep.join(items) + tail + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -147,7 +105,7 @@ def _json_text(value: object, indent: str) -> str:
             _encode_str(item) if isinstance(item, str) else _json_text(item, inner)
             for item in value
         ]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        return "[" + head + sep.join(items) + tail + "]"
     if isinstance(value, str):
         return _encode_str(value)
     return _json_atom(value)
@@ -210,17 +168,14 @@ CSV_COLUMNS = (
 )
 
 
-# `json.dumps(params, sort_keys=True)`, without building an encoder per row.
-_params_json = json.JSONEncoder(sort_keys=True).encode
-
-
 def _rows_to_csv(rows: Sequence[dict[str, object]]) -> str:
-    """One CSV line per row, in `CSV_COLUMNS` order, `params` as JSON."""
+    """One CSV line per row, in `CSV_COLUMNS` order, `params` as one-line JSON."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(
-        [_params_json(row[c]) if c == "params" else row[c] for c in CSV_COLUMNS] for row in rows
+        [_json_text(row[c], None) if c == "params" else row[c] for c in CSV_COLUMNS]
+        for row in rows
     )
     return buffer.getvalue()
 
@@ -258,10 +213,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tolerance = args.tolerance
-    if args.mode == FLOAT and tolerance is None:
+    mode, tolerance = args.mode, args.tolerance
+    if mode == EXACT and tolerance is not None:
+        raise ValueError("exact mode has no tolerance")
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise ValueError("float mode needs a finite positive tolerance")
+    if mode == FLOAT and tolerance is None:
         tolerance = DEFAULT_FLOAT_TOLERANCE
-    config = RunConfig(mode=args.mode, tolerance=tolerance)
 
     explicit_point = args.xv is not None or args.yv is not None
     if explicit_point:
@@ -269,20 +227,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("--xv/--yv overrides apply to the graczyk identity only")
         if args.xv is None or args.yv is None:
             raise ValueError("need both --xv and --yv")
-        xv = _parse_vector(args.xv, config.mode)
-        yv = _parse_vector(args.yv, config.mode)
+        xv = _parse_vector(args.xv, mode)
+        yv = _parse_vector(args.yv, mode)
         if args.p is not None:
-            p_values = (parse_scalar(args.p, config.mode),)
+            p_values = (parse_scalar(args.p, mode),)
         else:
-            p_values = in_mode(P_GRID, config.mode)
-        reports = graczyk_reports(DEGREES, xv, yv, p_values, config.tolerance)
+            p_values = in_mode(P_GRID, mode)
+        reports = graczyk_reports(DEGREES, xv, yv, p_values, tolerance)
         grid: dict[str, object] = {
             "explicit_point": {"xv": args.xv, "yv": args.yv, "p": args.p or "default grid"}
         }
     elif args.p is not None:
         raise ValueError("--p needs --xv and --yv")
     else:
-        reports = SWEEPS[args.identity](mode=config.mode, tolerance=config.tolerance)
+        reports = SWEEPS[args.identity](mode=mode, tolerance=tolerance)
         grid = grid_description(args.identity)
 
     rows = [_report_row(r) for r in reports]
@@ -295,11 +253,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "command": "verify",
             "grid": grid,
             "identity": args.identity,
-            "mode": config.mode,
+            "mode": mode,
             "report_count": len(rows),
             "reports": rows,
             "spec_version": SPEC_VERSION,
-            "tolerance": config.tolerance,
+            "tolerance": tolerance,
         }
         text = canonical_json(envelope)
     _emit(text, args.out)
@@ -375,6 +333,15 @@ def _both_sides(
 
 
 def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
+    seed, count, order, z = args.seed, args.count, args.order, args.z
+    if not 0 < z < math.inf:
+        raise ValueError("the z threshold must be finite and positive")
+    if count < 2:
+        raise ValueError("--count must be at least 2")
+    if order < 1:
+        raise ValueError("--order must be at least 1")
+    if seed < 0:
+        raise ValueError("--seed must be a natural number")
     # Imported here so that eval and verify never load numpy.
     from .sampling import (
         RngStream,
@@ -388,10 +355,6 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         sample_chi,
     )
 
-    config = RunConfig(
-        mode=FLOAT, seed=args.seed, count=args.count, order=args.order, z=args.z
-    )
-    seed, count, order, z = config.seed, config.count, config.order, config.z
     options = _target_options(args)
     lhs_stream = RngStream(seed, 0)
     rhs_stream = RngStream(seed, 1)

@@ -1,7 +1,7 @@
 """Defaults of the Monte Carlo checks, kept free of numpy.
 
-The command-line parser and `RunConfig` read these without importing the
-sampling engine, which needs numpy.
+The command-line parser reads these without importing the sampling
+engine, which needs numpy.
 """
 
 DEFAULT_COUNT = 1_000_000

@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from ._record import Record, _set
+from ._record import Record
 from .ghpoly import (
     GaussianInt,
     clearing_scale,
@@ -76,10 +76,6 @@ class PolarizationPair(Record):
     x: Scalar
     y: Scalar
 
-    def __init__(self, x: Scalar, y: Scalar) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-
     @property
     def mode(self) -> str:
         return self.x.mode
@@ -96,24 +92,6 @@ class IdentityReport(Record):
     residual: Scalar
     mode: str
     verdict: str
-
-    def __init__(
-        self,
-        identity: str,
-        params: dict[str, str],
-        lhs: Scalar,
-        rhs: Scalar,
-        residual: Scalar,
-        mode: str,
-        verdict: str,
-    ) -> None:
-        _set(self, "identity", identity)
-        _set(self, "params", params)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "residual", residual)
-        _set(self, "mode", mode)
-        _set(self, "verdict", verdict)
 
     @property
     def passed(self) -> bool:
@@ -701,6 +679,7 @@ def factorization_reports(
     (c, s) and each point's rows built once, at the top total degree."""
     if any(m1 < 0 or m2 < 0 for m1, m2 in splits):
         raise ValueError("degrees must be natural numbers")
+    top = max((m1 + m2 for m1, m2 in splits), default=0)
     # With (c, s) = (cc, ss) / k and (x, y) = (X, Y) / lam, cx - sy and
     # sx + cy are integers over k lam, C_{m1,m2,r} is an integer over
     # k^(m1+m2), and both sides share the denominator (k lam)^(m1+m2).
@@ -713,7 +692,6 @@ def factorization_reports(
     # allows rounding.
     if gap != (0, 0) if mode == EXACT else math.hypot(*gap) > ORTHOGONALITY_TOLERANCE:
         raise ValueError("c^2 + s^2 must equal 1")
-    top = max(m1 + m2 for m1, m2 in splits)
     c_pows, s_pows = _gpowers(cc, top), _gpowers(ss, top)
     coeffs = {
         (m1, m2): [_coeff_C_gaussian(m1, m2, r, c_pows, s_pows) for r in range(m1 + m2 + 1)]

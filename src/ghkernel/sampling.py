@@ -270,13 +270,6 @@ class SampleStats(Record):
     moments: tuple[float, ...]
     std_errors: tuple[float, ...]
 
-    def __init__(
-        self, count: int, moments: tuple[float, ...], std_errors: tuple[float, ...]
-    ) -> None:
-        _set(self, "count", count)
-        _set(self, "moments", moments)
-        _set(self, "std_errors", std_errors)
-
     def order(self) -> int:
         return len(self.moments)
 
@@ -339,24 +332,6 @@ class MomentVerdict(Record):
     tolerance: float
     z_score: float | None
     passed: bool
-
-    def __init__(
-        self,
-        order: int,
-        lhs: float,
-        rhs: float,
-        difference: float,
-        tolerance: float,
-        z_score: float | None,
-        passed: bool,
-    ) -> None:
-        _set(self, "order", order)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "difference", difference)
-        _set(self, "tolerance", tolerance)
-        _set(self, "z_score", z_score)
-        _set(self, "passed", passed)
 
 
 def _verdict(

@@ -501,6 +501,20 @@ def test_reports_reject_a_negative_degree_beside_larger_ones():
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_reports_with_no_degrees_are_empty(mode):
+    c, s = as_mode(OFF_GRID_CS, mode)
+    point = as_mode(OFF_GRID_POINT, mode)
+    o, xv, p = as_mode((OFF_GRID_ROTATION, ROTATION_XV, P_VALUES[0]), mode)
+    real = as_mode((exact(3), exact(4)), mode)
+    xm, ym = as_mode((((exact(3), ZERO),), ((ZERO, exact(4)),)), mode)
+    assert factorization_reports([], c, s, [point]) == []
+    assert rotation_reports([], o, xv, p) == []
+    assert graczyk_reports([], real, real, [p]) == []
+    assert inner_product_moment_reports([], real, real, [p]) == []
+    assert matrix_moment_reports([], xm, ym) == []
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_pair_reports_match_single_degree_calls(mode):
     # (u+v)/2 and (u-v)/2 for u = (1,2,2), v = (2,3,6): norms 3 and 7.
     xv = as_mode((exact(q(3, 2)), exact(q(5, 2)), exact(4)), mode)

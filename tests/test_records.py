@@ -1,9 +1,11 @@
 """The value records keep what frozen dataclasses gave them.
 
-`Scalar`, `PolarizationPair`, `IdentityReport`, `RunConfig` and sampling's
-`RngStream`, `SampleStats` and `MomentVerdict` are `__slots__` records:
-fields in order, value equality, the hash of the tuple of fields, the
-dataclass repr text, no assignment, and their constructors' validation.
+`Scalar`, `PolarizationPair`, `IdentityReport` and sampling's `RngStream`,
+`SampleStats` and `MomentVerdict` are `__slots__` records: fields in
+order, value equality, the hash of the tuple of fields, the dataclass repr
+text, no assignment, a dataclass's constructor where the base class
+writes it, and their own constructors' validation.  The command line's
+option checks exit 2.
 """
 
 import copy
@@ -13,8 +15,7 @@ from fractions import Fraction
 import pytest
 
 from ghkernel import IdentityReport, PolarizationPair, Scalar, exact, flt, sampling
-from ghkernel.cli import RunConfig, main
-from ghkernel.defaults import DEFAULT_COUNT, DEFAULT_ORDER, DEFAULT_Z
+from ghkernel.cli import main
 from ghkernel.identities import make_report
 
 
@@ -86,13 +87,46 @@ def test_sampling_records_keep_field_order():
             setattr(record, "count", 3)
 
 
-def test_run_config_defaults_and_keywords():
-    config = RunConfig(mode="float", tolerance=1e-9)
-    assert config == RunConfig("float", 1e-9, 0, DEFAULT_COUNT, DEFAULT_ORDER, DEFAULT_Z)
-    assert repr(RunConfig(count=5)) == (
-        f"RunConfig(mode='exact', tolerance=None, seed=0, count=5, order={DEFAULT_ORDER}, "
-        f"z={DEFAULT_Z!r})"
-    )
+# Each record whose constructor the base class writes, with one value per field.
+GENERATED = [
+    (PolarizationPair, (exact(5), exact(-1))),
+    (IdentityReport, ("graczyk", {"M": "1"}, exact(2), exact(3), exact(-1), "exact", "fail")),
+    (sampling.SampleStats, (10, (1.0, 2.0), (0.5, 0.25))),
+    (sampling.MomentVerdict, (1, 1.0, 1.5, -0.5, 1.0, None, True)),
+]
+
+
+@pytest.mark.parametrize("cls, values", GENERATED, ids=[cls.__name__ for cls, _ in GENERATED])
+def test_generated_constructor_takes_fields_by_position_or_keyword(cls, values):
+    assert "__init__" in vars(cls)
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(cls.__slots__, values)))
+    assert by_position == by_keyword
+    assert tuple(getattr(by_keyword, name) for name in cls.__slots__) == values
+    mixed = cls(values[0], **dict(zip(cls.__slots__[1:], values[1:])))
+    assert mixed == by_position
+
+
+@pytest.mark.parametrize("cls, values", GENERATED, ids=[cls.__name__ for cls, _ in GENERATED])
+def test_generated_constructor_rejects_missing_extra_and_unknown_fields(cls, values):
+    fields = dict(zip(cls.__slots__, values))
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(**dict(list(fields.items())[1:]))
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values[1:], **{cls.__slots__[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(**fields, bogus=1)
+
+
+def test_hand_written_constructors_take_keywords_and_keep_their_checks():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        Scalar(mode="bogus", re=Fraction(1), im=Fraction(0))
+    assert Scalar(re=Fraction(1), im=Fraction(0), mode="exact") == exact(1)
+    assert sampling.RngStream(seed=3) == sampling.RngStream(3, 0)
 
 
 @pytest.mark.parametrize(
@@ -103,6 +137,7 @@ def test_run_config_defaults_and_keywords():
         (("sample", "chi-merge", "--z", "inf"), "the z threshold must be finite"),
         (("sample", "chi-merge", "--count", "1"), "--count must be at least 2"),
         (("sample", "chi-merge", "--order", "0"), "--order must be at least 1"),
+        (("sample", "chi-merge", "--seed", "-1"), "--seed must be a natural number"),
     ],
 )
 def test_each_run_config_check_exits_2(capsys, argv, message):
