@@ -28,6 +28,7 @@ from . import __version__
 from .defaults import DEFAULT_COUNT, DEFAULT_ORDER, DEFAULT_Z
 from .identities import (
     DEFAULT_FLOAT_TOLERANCE,
+    EXACT_PASS,
     IdentityReport,
     Matrix,
     Vector,
@@ -134,8 +135,8 @@ def _parse_matrix(text: str, mode: str) -> Matrix:
     return matrix
 
 
-def _parse_real(text: str, mode: str = FLOAT) -> float:
-    value = parse_scalar(text, mode)
+def _parse_real(text: str) -> float:
+    value = parse_scalar(text, FLOAT)
     if not value.is_real():
         raise ValueError(f"expected a real number, got {text!r}")
     return float(value.re)
@@ -150,7 +151,8 @@ def _report_row(report: IdentityReport) -> dict[str, object]:
         "lhs": lhs,
         # An exact check whose sides' integers agree has one Scalar for both.
         "rhs": lhs if report.rhs is report.lhs else format_scalar(report.rhs),
-        "residual": format_scalar(report.residual),
+        # Every passing exact report holds the one zero residual.
+        "residual": "0" if report.verdict == EXACT_PASS else format_scalar(report.residual),
         "verdict": report.verdict,
         "spec_version": SPEC_VERSION,
     }
@@ -342,7 +344,36 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         raise ValueError("--order must be at least 1")
     if seed < 0:
         raise ValueError("--seed must be a natural number")
-    # Imported here so that eval and verify never load numpy.
+    options = _target_options(args)
+    params: dict[str, object] = {
+        "seed": seed,
+        "count": count,
+        "order": order,
+        "z": z,
+        "stream_layout": {"lhs": 0, "rhs": 1},
+        **options,  # as given; inner-product replaces p by its parsed value
+    }
+    if args.target == "chi-merge":
+        a, b = options["a"], options["b"]
+        if a < 1 or b < 1:
+            raise ValueError("chi-merge needs --a >= 1 and --b >= 1")
+    elif args.target == "inner-product":
+        xv = _parse_vector(options["xv"], FLOAT)
+        yv = _parse_vector(options["yv"], FLOAT)
+        p = _parse_real(options["p"])
+        if not p > 0:
+            raise ValueError("sampling needs p > 0")
+        pair = polarization_pair(xv, yv)
+        params.update(p=p, p_convention="sqrt(p)")
+    else:
+        # The matrix claim is the inner-product claim on vec xm, vec ym at p = 1.
+        xm = _parse_matrix(options["xm"], FLOAT)
+        ym = _parse_matrix(options["ym"], FLOAT)
+        pair = matrix_polarization(xm, ym)
+        xv, yv, p = mat_flatten(xm), mat_flatten(ym), 1.0
+        params.update(shape=f"{len(xm)}x{len(xm[0])}", p_convention="unit-variance noise")
+
+    # Imported after every input check: only a valid sample loads numpy.
     from .sampling import (
         RngStream,
         chi_even_moment,
@@ -355,23 +386,10 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         sample_chi,
     )
 
-    options = _target_options(args)
     lhs_stream = RngStream(seed, 0)
     rhs_stream = RngStream(seed, 1)
-    params: dict[str, object] = {
-        "seed": seed,
-        "count": count,
-        "order": order,
-        "z": z,
-        "stream_layout": {"lhs": 0, "rhs": 1},
-        **options,  # as given; inner-product replaces p by its parsed value
-    }
     extra: dict[str, object] = {}
-
     if args.target == "chi-merge":
-        a, b = options["a"], options["b"]
-        if a < 1 or b < 1:
-            raise ValueError("chi-merge needs --a >= 1 and --b >= 1")
         draw_lhs = partial(chi_merge_samples, lhs_stream, a, b, count)
         draw_rhs = partial(sample_chi, rhs_stream, a + b, count)
         exact_targets = {
@@ -380,21 +398,6 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         }
         extra["exact_moments"] = {str(k): v for k, v in exact_targets.items()}
     else:
-        # The matrix claim is the inner-product claim on vec xm, vec ym at p = 1.
-        if args.target == "inner-product":
-            xv = _parse_vector(options["xv"], FLOAT)
-            yv = _parse_vector(options["yv"], FLOAT)
-            p = _parse_real(options["p"])
-            if not p > 0:
-                raise ValueError("sampling needs p > 0")
-            pair = polarization_pair(xv, yv)
-            params.update(p=p, p_convention="sqrt(p)")
-        else:
-            xm = _parse_matrix(options["xm"], FLOAT)
-            ym = _parse_matrix(options["ym"], FLOAT)
-            pair = matrix_polarization(xm, ym)
-            xv, yv, p = mat_flatten(xm), mat_flatten(ym), 1.0
-            params.update(shape=f"{len(xm)}x{len(xm[0])}", p_convention="unit-variance noise")
         draw_lhs = partial(
             inner_product_lhs_samples,
             [float(s.re) for s in xv], [float(s.re) for s in yv], p, lhs_stream, count,

@@ -62,7 +62,7 @@ WITHIN_TOLERANCE = "within-tolerance"
 FAIL = "fail"
 
 DEFAULT_FLOAT_TOLERANCE = 1e-9
-# How far a float c^2 + s^2 or O O^t may stray from 1 or I by rounding.
+# How far a float O O^t may stray from I by rounding (c^2 + s^2 from 1).
 ORTHOGONALITY_TOLERANCE = 1e-12
 # The residual of every exact check with equal sides.
 _EXACT_ZERO = zero(EXACT)
@@ -192,6 +192,36 @@ def _gpowers(base: GaussianInt, top: int) -> list[GaussianInt]:
     for _ in range(top):
         out.append(_gmul(out[-1], base))
     return out
+
+
+# A matrix as (den, rows of Gaussian-integer pairs): the matrix is the
+# pairs over den.  In float mode den is 1 and the pairs hold doubles.
+PairMatrix = tuple[int, tuple[tuple[GaussianInt, ...], ...]]
+
+
+def _to_pairs(a: Matrix) -> PairMatrix:
+    den = clearing_scale(*[entry for row in a for entry in row])
+    return den, tuple(tuple(scale_to_gaussian(entry, den) for entry in row) for row in a)
+
+
+def _pair_mat_mul(a: PairMatrix, b: PairMatrix) -> PairMatrix:
+    """The product of two pair matrices, each entry summed as ``dot`` sums
+    it: from zero, adding one product at a time.  Float entries therefore
+    round exactly as ``mat_mul`` on the float Scalars does."""
+    den_a, rows = a
+    den_b, b_rows = b
+    cols = tuple(zip(*b_rows))
+    product_rows = []
+    for row in rows:
+        entries = []
+        for col in cols:
+            re = im = 0
+            for (ar, ai), (br, bi) in zip(row, col):
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            entries.append((re, im))
+        product_rows.append(tuple(entries))
+    return den_a * den_b, tuple(product_rows)
 
 
 def _binomial_fold(top: int, tables: Sequence[Sequence[GaussianInt]]) -> list[GaussianInt]:
@@ -522,21 +552,38 @@ def complex_givens(n: int, i: int, j: int, t: Scalar) -> Matrix:
 
 
 def orthogonality_check(o: Matrix, tolerance: float = ORTHOGONALITY_TOLERANCE) -> bool:
-    """True iff O O^t = O^t O = I under the bilinear (non-conjugated) form."""
+    """True iff O O^t = O^t O = I under the bilinear (non-conjugated) form,
+    tested as W W^t = den^2 I on the pairs of O = W / den.  Each entry adds
+    the terms ``mat_mul`` adds, in its order: float verdicts are unchanged."""
     rows, cols = _check_rectangular(o)
     if rows != cols:
         raise ValueError("matrix must be square")
-    mode = o[0][0].mode
-    target = mat_identity(rows, mode)
-    for product in (mat_mul(o, mat_transpose(o)), mat_mul(mat_transpose(o), o)):
-        for prow, trow in zip(product, target):
-            for got, want in zip(prow, trow):
-                if mode == EXACT:
-                    if got != want:
-                        return False
-                elif magnitude(got - want) > tolerance:
+    den, w = pairs = _to_pairs(o)
+    transposed = (den, tuple(zip(*w)))
+    exact_mode = o[0][0].mode == EXACT
+    for _, product in (_pair_mat_mul(pairs, transposed), _pair_mat_mul(transposed, pairs)):
+        for r, row in enumerate(product):
+            for c, (re, im) in enumerate(row):
+                if r == c:
+                    re -= den * den
+                if (re or im) if exact_mode else math.hypot(re, im) > tolerance:
                     return False
     return True
+
+
+def _rotated_rows(
+    top: int, o_pairs: PairMatrix, xv: Sequence[Scalar], p: Scalar
+) -> tuple[int, list[list[GaussianInt]], list[list[GaussianInt]]]:
+    """What both rotation rules read, at degrees 0..top: with O = W / den
+    and xv = X / lam, the scale den lam of O xv = W X / (den lam), the rows
+    g_k((O xv)_i, p) times (den lam)^k, and g_k(x_j, p) times lam^k."""
+    lam = clearing_scale(*xv, p)
+    x_ints = [scale_to_gaussian(coord, lam) for coord in xv]
+    scale, rotated = _pair_mat_mul(o_pairs, (lam, tuple((x,) for x in x_ints)))
+    p_lhs = scale_to_gaussian(p, scale * scale)
+    p_int = scale_to_gaussian(p, lam * lam)
+    lhs_rows = [gaussian_row(top, entry, p_lhs) for (entry,) in rotated]
+    return scale, lhs_rows, [gaussian_row(top, x, p_int) for x in x_ints]
 
 
 def rotation_sumrule(
@@ -563,36 +610,24 @@ def rotation_reports(
     label: str | None = None,
 ) -> list[IdentityReport]:
     """rotation_sumrule at every degree and row, degree outer, with the
-    integers of O and xv and the coordinate rows built once, and each row's
-    lhs row and binomial fold built once, at the top degree."""
+    rows of ``_rotated_rows`` built once and each row's binomial fold built
+    once, at the top degree."""
     n = len(o)
     if len(xv) != n or any(len(row) != n for row in o):
         raise ValueError("dimension mismatch")
     top = _top_degree(degrees)
-    # With O = W / den_o and xv = X / lam, (O xv)_i is an integer over
-    # den_o lam, and each term prod_j O_ij^(m_j) g_(m_j)(x_j, p) an integer
-    # over (den_o lam)^m: both sides share that denominator.
-    entries = [entry for row in o for entry in row]
-    mode = common_mode(*entries, *xv, p)
-    den_o = clearing_scale(*entries)
-    lam = clearing_scale(*xv, p)
-    scale = den_o * lam
-    x_ints = [scale_to_gaussian(coord, lam) for coord in xv]
-    p_lhs = scale_to_gaussian(p, scale * scale)
-    p_int = scale_to_gaussian(p, lam * lam)
-    coord_rows = [gaussian_row(top, xj, p_int) for xj in x_ints]
+    # Each term prod_j O_ij^(m_j) g_(m_j)(x_j, p) is an integer over
+    # (den lam)^m, as g_m((O xv)_i, p) is: both sides share that denominator.
+    mode = common_mode(*[entry for row in o for entry in row], *xv, p)
+    o_pairs = _to_pairs(o)
+    scale, lhs_rows, coord_rows = _rotated_rows(top, o_pairs, xv, p)
     sides = []
-    for o_row in o:
-        w = [scale_to_gaussian(entry, den_o) for entry in o_row]
-        rotated = (0, 0)
-        for wj, xj in zip(w, x_ints):
-            t = _gmul(wj, xj)
-            rotated = (rotated[0] + t[0], rotated[1] + t[1])
+    for w, lhs_row in zip(o_pairs[1], lhs_rows):
         tables = [
             [_gmul(pw, g) for pw, g in zip(_gpowers(wj, top), row)]
             for wj, row in zip(w, coord_rows)
         ]
-        sides.append((gaussian_row(top, rotated, p_lhs), _binomial_fold(top, tables)))
+        sides.append((lhs_row, _binomial_fold(top, tables)))
     shared = {
         "p": str(p),
         "xv": _fmt_vector(xv),
@@ -676,22 +711,19 @@ def factorization_reports(
 ) -> list[IdentityReport]:
     """factorization_sumrule at every point (x, y, p) and degree split
     (m1, m2), point outer, with the connection coefficients built once per
-    (c, s) and each point's rows built once, at the top total degree."""
+    (c, s) and each point's ``_rotated_rows`` once, at the top degree."""
     if any(m1 < 0 or m2 < 0 for m1, m2 in splits):
         raise ValueError("degrees must be natural numbers")
     top = max((m1 + m2 for m1, m2 in splits), default=0)
-    # With (c, s) = (cc, ss) / k and (x, y) = (X, Y) / lam, cx - sy and
-    # sx + cy are integers over k lam, C_{m1,m2,r} is an integer over
-    # k^(m1+m2), and both sides share the denominator (k lam)^(m1+m2).
+    # The rule is the rotation set-up at n = 2, O = [[c, -s], [s, c]]: with
+    # O = W / k, C_{m1,m2,r} is an integer over k^(m1+m2), and both sides
+    # share the denominator (k lam)^(m1+m2).
     mode = common_mode(c, s, *(value for point in points for value in point))
-    k = clearing_scale(c, s)
-    cc, ss = scale_to_gaussian(c, k), scale_to_gaussian(s, k)
-    c_sq, s_sq = _gmul(cc, cc), _gmul(ss, ss)
-    gap = (c_sq[0] + s_sq[0] - k * k, c_sq[1] + s_sq[1])
-    # The one mode-dependent check: exact mode allows no gap, float mode
-    # allows rounding.
-    if gap != (0, 0) if mode == EXACT else math.hypot(*gap) > ORTHOGONALITY_TOLERANCE:
+    o = ((c, -s), (s, c))
+    if not orthogonality_check(o):
         raise ValueError("c^2 + s^2 must equal 1")
+    o_pairs = _to_pairs(o)
+    (cc, _), (ss, _) = o_pairs[1]
     c_pows, s_pows = _gpowers(cc, top), _gpowers(ss, top)
     coeffs = {
         (m1, m2): [_coeff_C_gaussian(m1, m2, r, c_pows, s_pows) for r in range(m1 + m2 + 1)]
@@ -699,17 +731,7 @@ def factorization_reports(
     }
     reports = []
     for x, y, p in points:
-        lam = clearing_scale(x, y, p)
-        x_int, y_int = scale_to_gaussian(x, lam), scale_to_gaussian(y, lam)
-        scale = k * lam
-        p_lhs = scale_to_gaussian(p, scale * scale)
-        cx, sy = _gmul(cc, x_int), _gmul(ss, y_int)
-        sx, cy = _gmul(ss, x_int), _gmul(cc, y_int)
-        row_u = gaussian_row(top, (cx[0] - sy[0], cx[1] - sy[1]), p_lhs)
-        row_v = gaussian_row(top, (sx[0] + cy[0], sx[1] + cy[1]), p_lhs)
-        p_int = scale_to_gaussian(p, lam * lam)
-        row_x = gaussian_row(top, x_int, p_int)
-        row_y = gaussian_row(top, y_int, p_int)
+        scale, (row_u, row_v), (row_x, row_y) = _rotated_rows(top, o_pairs, (x, y), p)
         point = {"c": str(c), "s": str(s), "x": str(x), "y": str(y), "p": str(p)}
         for m1, m2 in splits:
             total = m1 + m2

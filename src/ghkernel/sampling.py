@@ -61,7 +61,7 @@ _CHUNK_NORMALS = 1 << 16
 
 
 class _Block:
-    """Read cursor over one Box-Muller block of `size` normals.
+    """Read cursor over one Box-Muller block: `size` normals, rows of `width`.
 
     The block's uniforms start at output `offset` of the stream: U1 of
     pair j is output offset + j and U2 is output offset + pairs + j.
@@ -69,10 +69,11 @@ class _Block:
     i - pairs after that, so both halves read the same uniforms.
     """
 
-    def __init__(self, stream: RngStream, offset: int, size: int) -> None:
+    def __init__(self, stream: RngStream, offset: int, size: int, width: int) -> None:
         self.stream = stream
         self.offset = offset
         self.size = size
+        self.width = width
         self.pairs = (size + 1) // 2
         self.done = 0
         self._rewind()
@@ -91,15 +92,23 @@ class _Block:
         self.done += step
         return self.u1.random(step), self.u2.random(step), cosine
 
+    def rows(self, count: int) -> np.ndarray:
+        """The next `count` rows, as a (count, width) array."""
+        return _box_muller(self, count * self.width).reshape(count, self.width)
 
-def _blocks(stream: RngStream, *sizes: int) -> list[_Block]:
-    """Consecutive blocks in draw order; each takes 2 * pairs outputs."""
+
+def _blocks(
+    stream: RngStream, count: int, *widths: int
+) -> tuple[list[_Block], Iterator[tuple[int, int]]]:
+    """Consecutive blocks of `count` rows, one per width, in draw order,
+    each taking 2 * pairs outputs; and the row ranges of the chunks, each
+    drawing at most `_CHUNK_NORMALS` normals over all blocks."""
     blocks = []
     offset = 0
-    for size in sizes:
-        blocks.append(_Block(stream, offset, size))
+    for width in widths:
+        blocks.append(_Block(stream, offset, count * width, width))
         offset += 2 * blocks[-1].pairs
-    return blocks
+    return blocks, _row_chunks(count, sum(widths))
 
 
 def _row_chunks(count: int, width: int) -> Iterator[tuple[int, int]]:
@@ -119,7 +128,7 @@ def _box_muller(block: _Block, count: int) -> np.ndarray:
         radius = np.sqrt(-2.0 * np.log(1.0 - u1))
         angle = 2.0 * np.pi * u2
         parts.append(radius * (np.cos(angle) if cosine else np.sin(angle)))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0), *parts])
 
 
 def _squared_norms(normals: np.ndarray) -> np.ndarray:
@@ -130,10 +139,10 @@ def sample_gaussian(stream: RngStream, count: int) -> np.ndarray:
     """i.i.d. standard normal variates, deterministic per stream."""
     if count < 0:
         raise ValueError("count must be a natural number")
-    (block,) = _blocks(stream, count)
+    (block,), chunks = _blocks(stream, count, 1)
     out = np.empty(count)
-    for lo, hi in _row_chunks(count, 1):
-        out[lo:hi] = _box_muller(block, hi - lo)
+    for lo, hi in chunks:
+        out[lo:hi] = block.rows(hi - lo)[:, 0]
     return out
 
 
@@ -141,11 +150,10 @@ def sample_chi(stream: RngStream, k: int, count: int) -> np.ndarray:
     """chi_k variates: Euclidean norms of k-dimensional standard normals."""
     if k < 1:
         raise ValueError("chi needs at least one degree of freedom")
-    (block,) = _blocks(stream, count * k)
+    (block,), chunks = _blocks(stream, count, k)
     out = np.empty(count)
-    for lo, hi in _row_chunks(count, k):
-        normals = _box_muller(block, (hi - lo) * k).reshape(-1, k)
-        out[lo:hi] = np.sqrt(_squared_norms(normals))
+    for lo, hi in chunks:
+        out[lo:hi] = np.sqrt(_squared_norms(block.rows(hi - lo)))
     return out
 
 
@@ -163,11 +171,11 @@ def chi_merge_samples(stream: RngStream, a: int, b: int, count: int) -> np.ndarr
     """Samples of sqrt(chi_a^2 + chi_b^2) from independent blocks."""
     if a < 1 or b < 1:
         raise ValueError("both degree counts must be >= 1")
-    block_a, block_b = _blocks(stream, count * a, count * b)
+    (block_a, block_b), chunks = _blocks(stream, count, a, b)
     out = np.empty(count)
-    for lo, hi in _row_chunks(count, a + b):
-        first = _squared_norms(_box_muller(block_a, (hi - lo) * a).reshape(-1, a))
-        second = _squared_norms(_box_muller(block_b, (hi - lo) * b).reshape(-1, b))
+    for lo, hi in chunks:
+        first = _squared_norms(block_a.rows(hi - lo))
+        second = _squared_norms(block_b.rows(hi - lo))
         out[lo:hi] = np.sqrt(first + second)
     return out
 
@@ -193,12 +201,11 @@ def inner_product_lhs_samples(
     if p < 0:
         raise ValueError("sampling needs p >= 0 (real sqrt(p))")
     root = math.sqrt(p)
-    n = x.size
-    block_x, block_y = _blocks(stream, count * n, count * n)
+    (block_x, block_y), chunks = _blocks(stream, count, x.size, x.size)
     out = np.empty(count)
-    for lo, hi in _row_chunks(count, 2 * n):
-        noise_x = _box_muller(block_x, (hi - lo) * n).reshape(-1, n)
-        noise_y = _box_muller(block_y, (hi - lo) * n).reshape(-1, n)
+    for lo, hi in chunks:
+        noise_x = block_x.rows(hi - lo)
+        noise_y = block_y.rows(hi - lo)
         out[lo:hi] = ((x + root * noise_x) * (y + root * noise_y)).sum(axis=1)
     return out
 
@@ -213,7 +220,8 @@ def inner_product_rhs_samples(
     """Samples of (x + sqrt(p) N1)(y + sqrt(p) M1) + p Z_{n-1} N.
 
     Draw order per stream: N1 block, M1 block, chi block, N block; the four
-    sources are independent.  n = 1 omits the chi term.
+    sources are independent.  At n = 1 the chi block has width 0, takes no
+    outputs and gives Z = 0.
     """
     if p < 0:
         raise ValueError("sampling needs p >= 0 (real sqrt(p))")
@@ -221,18 +229,13 @@ def inner_product_rhs_samples(
         raise ValueError("dimension must be at least 1")
     x, y = _pair_floats(pair)
     root = math.sqrt(p)
-    # For n = 1 the chi block is empty and takes no outputs.
-    n1, m1, chi, final = _blocks(stream, count, count, count * (n - 1), count)
+    (n1, m1, chi, final), chunks = _blocks(stream, count, 1, 1, n - 1, 1)
     out = np.empty(count)
-    for lo, hi in _row_chunks(count, n + 2):
-        first = _box_muller(n1, hi - lo)
-        second = _box_muller(m1, hi - lo)
-        if n > 1:
-            normals = _box_muller(chi, (hi - lo) * (n - 1)).reshape(-1, n - 1)
-            z = np.sqrt(_squared_norms(normals))
-        else:
-            z = np.zeros(hi - lo)
-        last = _box_muller(final, hi - lo)
+    for lo, hi in chunks:
+        first = n1.rows(hi - lo)[:, 0]
+        second = m1.rows(hi - lo)[:, 0]
+        z = np.sqrt(_squared_norms(chi.rows(hi - lo)))
+        last = final.rows(hi - lo)[:, 0]
         out[lo:hi] = (x + root * first) * (y + root * second) + p * z * last
     return out
 

@@ -13,11 +13,13 @@ from functools import reduce
 from itertools import chain, product
 from typing import Callable, Iterable
 
-from .ghpoly import GaussianInt, clearing_scale, from_gaussian, scale_to_gaussian
+from .ghpoly import from_gaussian
 from .identities import (
     IdentityReport,
     Matrix,
     Vector,
+    _pair_mat_mul,
+    _to_pairs,
     complex_givens,
     factorization_reports,
     graczyk_reports,
@@ -163,36 +165,6 @@ def graczyk_sweep(mode: str = EXACT, tolerance: float | None = None) -> list[Ide
 
 def _givens_ts() -> list[Scalar]:
     return [exact(re_part, im_part) for re_part, im_part in GIVENS_T_VALUES]
-
-
-# A matrix as (den, rows of Gaussian-integer pairs): the matrix is the
-# pairs over den.  In float mode den is 1 and the pairs hold doubles.
-PairMatrix = tuple[int, tuple[tuple[GaussianInt, ...], ...]]
-
-
-def _to_pairs(a: Matrix) -> PairMatrix:
-    den = clearing_scale(*[entry for row in a for entry in row])
-    return den, tuple(tuple(scale_to_gaussian(entry, den) for entry in row) for row in a)
-
-
-def _pair_mat_mul(a: PairMatrix, b: PairMatrix) -> PairMatrix:
-    """The product of two pair matrices, each entry summed as ``dot`` sums
-    it: from zero, adding one product at a time.  Float entries therefore
-    round exactly as ``mat_mul`` on the float Scalars does."""
-    den_a, rows = a
-    den_b, b_rows = b
-    cols = tuple(zip(*b_rows))
-    product_rows = []
-    for row in rows:
-        entries = []
-        for col in cols:
-            re = im = 0
-            for (ar, ai), (br, bi) in zip(row, col):
-                re += ar * br - ai * bi
-                im += ar * bi + ai * br
-            entries.append((re, im))
-        product_rows.append(tuple(entries))
-    return den_a * den_b, tuple(product_rows)
 
 
 def default_rotations(n: int, mode: str = EXACT) -> list[tuple[str, Matrix]]:

@@ -339,11 +339,14 @@ def test_factorization_complex_cayley_point():
 def test_factorization_rejects_invalid_rotation():
     with pytest.raises(ValueError):
         factorization_sumrule(1, 1, exact(1), exact(1), exact(1), exact(1), exact(1))
-    # Float mode allows rounding in c^2 + s^2 = 1, not a gap of 1.6e-6.
+    # Float mode allows rounding in c^2 + s^2 = 1, up to 1e-12: a gap of
+    # 1.6e-13 passes, and one of 1.6e-11 or 1.6e-6 does not.
     point = (flt(1.0), flt(2.0), flt(0.5))
-    assert factorization_sumrule(1, 1, flt(0.6), flt(0.8), *point).passed
-    with pytest.raises(ValueError):
-        factorization_sumrule(1, 1, flt(0.6), flt(0.8 + 1e-6), *point)
+    for gap in (0.0, 1e-13):
+        assert factorization_sumrule(1, 1, flt(0.6), flt(0.8 + gap), *point).passed
+    for gap in (1e-11, 1e-6):
+        with pytest.raises(ValueError, match=r"c\^2 \+ s\^2 must equal 1"):
+            factorization_sumrule(1, 1, flt(0.6), flt(0.8 + gap), *point)
 
 
 # ---------------------------------------------------------------------------

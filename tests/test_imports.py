@@ -1,12 +1,12 @@
 """Each command loads only the libraries it runs.
 
 `eval` and `verify` are exact or plain-float arithmetic and must start
-without numpy; `sample` needs numpy, and no command loads scipy, not even
-the `--ks` diagnostic.  Only `sample` runs a worker thread, so only it
-loads `concurrent.futures`.  Each case runs in a fresh interpreter, since
-this test process may have imported all of them.  No command loads
-`dataclasses` or `inspect`.  The package metadata takes its version from
-the package itself.
+without numpy; `sample` needs numpy, though not to reject its input, and
+no command loads scipy, not even the `--ks` diagnostic.  Only `sample`
+runs a worker thread, so only it loads `concurrent.futures`.  Each case
+runs in a fresh interpreter, since this test process may have imported
+all of them.  No command loads `dataclasses` or `inspect`.  The package
+metadata takes its version from the package itself.
 """
 
 import os
@@ -40,8 +40,8 @@ def heavy_modules_after(code: str, watched: tuple[str, ...] = ("numpy", "scipy")
     return set(last[len("loaded:"):].split())
 
 
-def run_cli(*argv: str) -> str:
-    return f"from ghkernel.cli import main\nassert main({list(argv)!r}) == 0\n"
+def run_cli(*argv: str, exit_code: int = 0) -> str:
+    return f"from ghkernel.cli import main\nassert main({list(argv)!r}) == {exit_code}\n"
 
 
 def test_package_import_skips_numpy_and_scipy():
@@ -84,6 +84,22 @@ def test_sample_ks_loads_numpy_only(tmp_path):
     out = str(tmp_path / "chi.json")
     code = run_cli("sample", "chi-merge", "--count", "1000", "--ks", "--out", out)
     assert heavy_modules_after(code) == {"numpy"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "chi-merge", "--a", "0"),
+        ("sample", "matrix", "--xv", "1"),
+        ("sample", "inner-product", "--xv", "1,x"),
+        ("sample", "inner-product", "--p", "0"),
+    ],
+    ids=["chi-merge-a", "matrix-xv", "inner-product-xv", "inner-product-p"],
+)
+def test_sample_usage_errors_exit_before_numpy(argv):
+    """Every input check runs before the sampler import, so a usage error
+    exits 2 without paying for numpy."""
+    assert heavy_modules_after(run_cli(*argv, exit_code=2)) == set()
 
 
 def no_thread_left(code: str) -> str:

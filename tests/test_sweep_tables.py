@@ -2,7 +2,8 @@
 
 A vector pair is polarized once for all its (M, p) checks, and each Givens
 block is built once per set of default rotations; each rotation is the
-left fold of its blocks on Gaussian-integer (float: double) pairs.
+left fold of its blocks on Gaussian-integer (float: double) pairs.  The
+rotation rules build their rows once per rotation and per (c, s, point).
 Counting the calls keeps a per-check rebuild from coming back unnoticed;
 the report digests pin what the sweeps return.
 """
@@ -55,6 +56,16 @@ def test_each_givens_block_is_built_once(monkeypatch, mode, n, blocks, products)
     )
     assert len(pair_mat_mul) == folds == products
     assert len({label for label, _ in rotations}) == len(rotations)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("identity, setups", [("rotation", 176), ("factorization", 20)])
+def test_rotation_rules_share_one_setup_per_grid_object(monkeypatch, mode, identity, setups):
+    """Both rotation rules build their rows through ``_rotated_rows``: once
+    per rotation, and once per (c, s, point)."""
+    calls = counting(monkeypatch, identities, "_rotated_rows")
+    sweeps.SWEEPS[identity](mode)
+    assert len(calls) == setups
 
 
 LABEL_BLOCK = re.compile(r"G\((\d+),(\d+);([^)]+)\)")
