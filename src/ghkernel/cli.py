@@ -296,6 +296,17 @@ def _verdict_rows(verdicts) -> list[dict[str, object]]:
     ]
 
 
+def _require_finite(*stats: SampleStats) -> None:
+    """Statistics that overflowed a double decide nothing: raise ValueError
+    at the first order where a side's moment or standard error is not
+    finite."""
+    for k in range(stats[0].order()):
+        if not all(math.isfinite(s.moments[k]) and math.isfinite(s.std_errors[k]) for s in stats):
+            raise ValueError(
+                f"sample statistics overflow a double from order {k + 1}; lower --order"
+            )
+
+
 def _target_options(args: argparse.Namespace) -> dict[str, object]:
     """The target's options, defaults filled in; other targets' must be unset."""
     for target, options in SAMPLE_OPTIONS.items():
@@ -406,6 +417,7 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         params.update(pair_x=float(pair.x.re), pair_y=float(pair.y.re))
 
     (lhs, lhs_stats), (rhs, rhs_stats) = _both_sides(draw_lhs, draw_rhs, order)
+    _require_finite(lhs_stats, rhs_stats)
     verdicts = moment_match(lhs_stats, rhs_stats, order, z)
     all_pass = all(v.passed for v in verdicts)
 
@@ -435,20 +447,25 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
 
 
 def _sample_csv(payload: dict[str, object]) -> str:
+    """One row per verdict, in report order, its params the command's with
+    the row's own order and the report key the verdict is listed under."""
     rows = []
-    for entry in payload["moments"]:  # type: ignore[index]
-        rows.append(
-            {
-                "identity": payload["target"],
-                "mode": FLOAT,
-                "params": {"order": entry["order"], **payload["params"]},  # type: ignore[dict-item]
-                "lhs": repr(entry["lhs"]),
-                "rhs": repr(entry["rhs"]),
-                "residual": repr(entry["difference"]),
-                "verdict": entry["verdict"],
-                "spec_version": SPEC_VERSION,
-            }
-        )
+    common = payload["params"]
+    for key in ("moments", "exact_verdicts"):
+        for entry in payload.get(key, ()):  # type: ignore[attr-defined]
+            params = {**common, "order": entry["order"], "verdicts": key}  # type: ignore[dict-item]
+            rows.append(
+                {
+                    "identity": payload["target"],
+                    "mode": FLOAT,
+                    "params": params,
+                    "lhs": repr(entry["lhs"]),
+                    "rhs": repr(entry["rhs"]),
+                    "residual": repr(entry["difference"]),
+                    "verdict": entry["verdict"],
+                    "spec_version": SPEC_VERSION,
+                }
+            )
     return _rows_to_csv(rows)
 
 

@@ -9,29 +9,33 @@ tolerance.  Nothing in this module is randomized.
 Each sum-rule side is one loop over pairs, in both modes.  In exact mode
 the inputs are scaled to a common denominator, so every term is a Gaussian
 integer accumulated as an int pair (see ``ghpoly.gaussian_row``); in float
-mode the scale is 1 and the pairs hold doubles.  Either way the side becomes
-a Scalar once, by a single division at its end.
+mode the scale is 1 and the pairs hold doubles.  The two sides of every rule
+share that denominator, so an exact verdict compares the sides' integers:
+equal pairs become one Scalar, both sides' object (``_side_scalars``).  Either
+way a side becomes a Scalar once, by a single division at its end.
 
 Each rule has one ``*_reports`` function that checks one grid object and
 everything that shares its tables: a vector pair at every (M, p), a rotation
 at every degree and row, a (c, s) at every point and degree split.  It
 builds what depends only on that object (the polarization pair, the Graczyk
-rows per p, the rotation's integers and coordinate rows, the connection
+folds per p, the rotation's integers and coordinate rows, the connection
 coefficients) once, at the top degree, and reads every check from it.  The
 single-check function is that function called with one degree (and one
-point).
+point).  The Graczyk rule and the two moment identities, whose moments are
+M! times the Graczyk sides at p/2, share one report loop.
 
 The multinomial sums over |m| = M (the Graczyk left side, the rotation
 rule's right side) are not enumerated: since sum_m g_m(x, p) t^m / m! =
 exp(xt + pt^2), they are entries of a binomial convolution of per-coordinate
-rows (``_binomial_fold``), which gives every degree at once.
+rows (``_binomial_fold``), which gives every degree at once.  The Graczyk
+right side is the same fold of a weight row and one product row.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._record import Record
 from .ghpoly import (
@@ -319,72 +323,99 @@ def matrix_polarization(xm: Matrix, ym: Matrix) -> PolarizationPair:
 
 
 # ---------------------------------------------------------------------------
-# Graczyk inner-product sum rule
+# Graczyk inner-product sum rule and the moments of its stochastic forms
+
+
+def _product_row(
+    top: int, x: Scalar, y: Scalar, lam: int, p_int: GaussianInt
+) -> list[GaussianInt]:
+    """g_k(x, p) g_k(y, p) times lam^(2k), k = 0..top."""
+    row_x = gaussian_row(top, scale_to_gaussian(x, lam), p_int)
+    row_y = gaussian_row(top, scale_to_gaussian(y, lam), p_int)
+    return [_gmul(gx, gy) for gx, gy in zip(row_x, row_y)]
+
+
+def _graczyk_lhs_ints(
+    top: int, xv: Sequence[Scalar], yv: Sequence[Scalar], lam: int, p_int: GaussianInt
+) -> list[GaussianInt]:
+    """M! lam^(2M) graczyk_lhs at M = 0..top: the fold of the coordinates'
+    product rows, whose weight M!/m! is the left side's 1/m! times M!."""
+    if len(xv) != len(yv):
+        raise ValueError("dimension mismatch")
+    return _binomial_fold(top, [_product_row(top, x, y, lam, p_int) for x, y in zip(xv, yv)])
+
+
+def _graczyk_rhs_ints(
+    top: int, pair: PolarizationPair, n: int, lam: int, p_int: GaussianInt
+) -> list[GaussianInt]:
+    """M! lam^(2M) graczyk_rhs at M = 0..top: the fold of a weight row and
+    the pair's product row.  With P = lam^2 p, the term j of the right side
+    times M! lam^(2M) is C(M, 2j) w_2j lam^(2M-4j) g_(M-2j)(x) g_(M-2j)(y),
+    where w_2j = (2j)!/j! (2P^2)^j (n-1)(n+1)...(n+2j-3); w is 0 at odd k."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    two_p_sq = _gmul((2 * p_int[0], 2 * p_int[1]), p_int)
+    weights = [(1, 0)]
+    for k in range(1, top + 1):
+        re, im = (0, 0) if k % 2 else _gmul(weights[-2], two_p_sq)
+        # w_k / w_(k-2) = 2(k-1) (n+k-3) 2P^2 at even k.
+        step = 2 * (k - 1) * (n + k - 3)
+        weights.append((step * re, step * im))
+    return _binomial_fold(top, [weights, _product_row(top, pair.x, pair.y, lam, p_int)])
 
 
 def graczyk_lhs(M: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Scalar) -> Scalar:
     """sum_{|m|=M} g_m(xv, p) g_m(yv, p) / m! over all compositions."""
-    return _graczyk_lhs_row(M, xv, yv, p)[M]
-
-
-def _graczyk_lhs_row(
-    top: int, xv: Sequence[Scalar], yv: Sequence[Scalar], p: Scalar
-) -> list[Scalar]:
-    """graczyk_lhs at M = 0..top, from one binomial fold."""
-    if len(xv) != len(yv):
-        raise ValueError("dimension mismatch")
-    # With lam clearing xv, yv and p, each term g_m(xv) g_m(yv) is an
-    # integer over lam^(2M); scaling by M! turns 1/m! into M!/m!, which is
-    # the fold's weight.
     lam = clearing_scale(*xv, *yv, p)
-    p_int = scale_to_gaussian(p, lam * lam)
-    tables = []
-    for xc, yc in zip(xv, yv):
-        row_x = gaussian_row(top, scale_to_gaussian(xc, lam), p_int)
-        row_y = gaussian_row(top, scale_to_gaussian(yc, lam), p_int)
-        tables.append([_gmul(gx, gy) for gx, gy in zip(row_x, row_y)])
-    return [
-        from_gaussian(re, im, math.factorial(M) * lam ** (2 * M), p.mode)
-        for M, (re, im) in enumerate(_binomial_fold(top, tables))
-    ]
+    row = _graczyk_lhs_ints(M, xv, yv, lam, scale_to_gaussian(p, lam * lam))
+    return from_gaussian(*row[M], math.factorial(M) * lam ** (2 * M), p.mode)
 
 
 def graczyk_rhs(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Scalar:
     """sum_j (2p)^(2j) / (j!(M-2j)!) ((n-1)/2)_j g_{M-2j}(x,p) g_{M-2j}(y,p)."""
-    return _graczyk_rhs_row(M, pair, n, p)[M]
-
-
-def _graczyk_rhs_row(top: int, pair: PolarizationPair, n: int, p: Scalar) -> list[Scalar]:
-    """graczyk_rhs at M = 0..top, from one pair of rows and one list of
-    weights."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    # With P = lam^2 p, (2p)^(2j) ((n-1)/2)_j is 2^j P^(2j) (n-1)(n+1)...(n+2j-3)
-    # over lam^(4j), and g_{M-2j}(x) g_{M-2j}(y) carries lam^(2M-4j): every
-    # term is an integer over lam^(2M), and M!/(j!(M-2j)!) is an integer.
     lam = clearing_scale(pair.x, pair.y, p)
-    p_int = scale_to_gaussian(p, lam * lam)
-    row_x = gaussian_row(top, scale_to_gaussian(pair.x, lam), p_int)
-    row_y = gaussian_row(top, scale_to_gaussian(pair.y, lam), p_int)
-    products = [_gmul(gx, gy) for gx, gy in zip(row_x, row_y)]
-    p_sq = _gmul(p_int, p_int)
-    two_p_sq = (2 * p_sq[0], 2 * p_sq[1])
-    weights = [(1, 0)]
-    for j in range(top // 2):
-        weight = _gmul(weights[-1], two_p_sq)
-        weights.append((weight[0] * (n - 1 + 2 * j), weight[1] * (n - 1 + 2 * j)))
-    out = []
-    for M in range(top + 1):
+    row = _graczyk_rhs_ints(M, pair, n, lam, scale_to_gaussian(p, lam * lam))
+    return from_gaussian(*row[M], math.factorial(M) * lam ** (2 * M), p.mode)
+
+
+def _pair_rule_reports(
+    identity: str,
+    degrees: Sequence[int],
+    xv: Sequence[Scalar],
+    yv: Sequence[Scalar],
+    pair: PolarizationPair,
+    p_values: Sequence[Scalar],
+    params: Callable[[int, Scalar], dict[str, str]],
+    tolerance: float | None,
+    moments: bool = False,
+) -> list[IdentityReport]:
+    """The reports of a rule read off the Graczyk sides, at every (M, p), M
+    outer.  Per p, one lam clears xv, yv, the pair and p, and both sides
+    are one fold each, integers over M! lam^(2M).
+
+    The moment identities read the sides at p/2: the stochastic form scales
+    its noise by sqrt(p), while the polynomial parameter enters as
+    sigma^2 = 2p.  Their moments are M! times the two Graczyk sides.
+    """
+    n, top, mode = len(xv), _top_degree(degrees), pair.mode
+    folds = []
+    for p in p_values:
+        q = p * lift(Fraction(1, 2), mode) if moments else p
+        lam = clearing_scale(*xv, *yv, pair.x, pair.y, q)
+        p_int = scale_to_gaussian(q, lam * lam)
+        lhs_row = _graczyk_lhs_ints(top, xv, yv, lam, p_int)
+        folds.append((lam * lam, lhs_row, _graczyk_rhs_ints(top, pair, n, lam, p_int)))
+    reports = []
+    for M in degrees:
         m_fact = math.factorial(M)
-        re = im = 0
-        for j in range(M // 2 + 1):
-            d = M - 2 * j
-            coeff = m_fact // (math.factorial(j) * math.factorial(d))
-            term = _gmul(weights[j], products[d])
-            re += coeff * term[0]
-            im += coeff * term[1]
-        out.append(from_gaussian(re, im, m_fact * lam ** (2 * M), p.mode))
-    return out
+        unit = lift(m_fact, mode)
+        for p, (lam_sq, lhs_row, rhs_row) in zip(p_values, folds):
+            lhs, rhs = _side_scalars(lhs_row[M], rhs_row[M], m_fact * lam_sq**M, mode)
+            if moments:
+                scaled = unit * lhs
+                lhs, rhs = scaled, (scaled if rhs is lhs else unit * rhs)
+            reports.append(make_report(identity, params(M, p), lhs, rhs, tolerance))
+    return reports
 
 
 def graczyk_identity(
@@ -405,42 +436,19 @@ def graczyk_reports(
     p_values: Sequence[Scalar],
     tolerance: float | None = None,
 ) -> list[IdentityReport]:
-    """graczyk_identity at every (M, p), M outer, polarizing the pair once
-    and building one lhs row and one rhs row per p, at the top degree."""
+    """graczyk_identity at every (M, p), M outer, polarizing the pair once."""
     pair = polarization_pair(xv, yv)
-    n = len(xv)
-    top = _top_degree(degrees)
-    rows = [
-        (_graczyk_lhs_row(top, xv, yv, p), _graczyk_rhs_row(top, pair, n, p)) for p in p_values
-    ]
     point = {
+        "n": str(len(xv)),
         "xv": _fmt_vector(xv),
         "yv": _fmt_vector(yv),
         "pair_x": str(pair.x),
         "pair_y": str(pair.y),
     }
-    reports = []
-    for M in degrees:
-        for p, (lhs_row, rhs_row) in zip(p_values, rows):
-            params = {"n": str(n), "M": str(M), "p": str(p), **point}
-            reports.append(make_report("graczyk", params, lhs_row[M], rhs_row[M], tolerance))
-    return reports
-
-
-def _moment_rows(
-    top: int, xv: Sequence[Scalar], yv: Sequence[Scalar], pair: PolarizationPair, p: Scalar
-) -> tuple[list[Scalar], list[Scalar]]:
-    """E[lhs^M] and E[rhs^M] of the stochastic inner-product form, M = 0..top.
-
-    The stochastic representation scales its noise by sqrt(p), while the
-    polynomial parameter enters as sigma^2 = 2p; the conversion is p -> p/2.
-    The moments are then M! times the two Graczyk sides.
-    """
-    half_p = p * lift(Fraction(1, 2), p.mode)
-    scales = [lift(math.factorial(M), p.mode) for M in range(top + 1)]
-    lhs = _graczyk_lhs_row(top, xv, yv, half_p)
-    rhs = _graczyk_rhs_row(top, pair, len(xv), half_p)
-    return [s * v for s, v in zip(scales, lhs)], [s * v for s, v in zip(scales, rhs)]
+    return _pair_rule_reports(
+        "graczyk", degrees, xv, yv, pair, p_values,
+        lambda M, p: {"M": str(M), "p": str(p), **point}, tolerance,
+    )
 
 
 def inner_product_moment_identity(
@@ -462,25 +470,17 @@ def inner_product_moment_reports(
     tolerance: float | None = None,
 ) -> list[IdentityReport]:
     """inner_product_moment_identity at every (M, p), M outer, polarizing
-    the pair once and reading both sides from one pair of rows per p."""
-    pair = polarization_pair(xv, yv)
-    top = _top_degree(degrees)
-    rows = [_moment_rows(top, xv, yv, pair, p) for p in p_values]
-    point = {"xv": _fmt_vector(xv), "yv": _fmt_vector(yv)}
-    reports = []
-    for M in degrees:
-        for p, (lhs_row, rhs_row) in zip(p_values, rows):
-            params = {
-                "n": str(len(xv)),
-                "M": str(M),
-                "p": str(p),
-                "p_convention": "sqrt(p)",
-                **point,
-            }
-            reports.append(
-                make_report("inner-product-moments", params, lhs_row[M], rhs_row[M], tolerance)
-            )
-    return reports
+    the pair once."""
+    point = {
+        "n": str(len(xv)),
+        "p_convention": "sqrt(p)",
+        "xv": _fmt_vector(xv),
+        "yv": _fmt_vector(yv),
+    }
+    return _pair_rule_reports(
+        "inner-product-moments", degrees, xv, yv, polarization_pair(xv, yv), p_values,
+        lambda M, p: {"M": str(M), "p": str(p), **point}, tolerance, moments=True,
+    )
 
 
 def matrix_moment_identity(
@@ -504,22 +504,18 @@ def matrix_moment_reports(
     ym: Matrix,
     tolerance: float | None = None,
 ) -> list[IdentityReport]:
-    """matrix_moment_identity at every M, polarizing the pair once and
-    reading both sides from one pair of rows."""
+    """matrix_moment_identity at every M, polarizing the pair once."""
     pair = matrix_polarization(xm, ym)
-    flat_x, flat_y = mat_flatten(xm), mat_flatten(ym)
-    lhs_row, rhs_row = _moment_rows(_top_degree(degrees), flat_x, flat_y, pair, one(pair.mode))
-    point = {"xm": _fmt_matrix(xm), "ym": _fmt_matrix(ym)}
-    reports = []
-    for M in degrees:
-        params = {
-            "shape": f"{len(xm)}x{len(xm[0])}",
-            "M": str(M),
-            "p_convention": "unit-variance noise, polynomial parameter 1/2",
-            **point,
-        }
-        reports.append(make_report("matrix", params, lhs_row[M], rhs_row[M], tolerance))
-    return reports
+    point = {
+        "shape": f"{len(xm)}x{len(xm[0])}",
+        "p_convention": "unit-variance noise, polynomial parameter 1/2",
+        "xm": _fmt_matrix(xm),
+        "ym": _fmt_matrix(ym),
+    }
+    return _pair_rule_reports(
+        "matrix", degrees, mat_flatten(xm), mat_flatten(ym), pair, (one(pair.mode),),
+        lambda M, p: {"M": str(M), **point}, tolerance, moments=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,16 @@ def _parse_component(text: str, mode: str) -> Fraction | float:
     elif text == "-":
         value = Fraction(-1)
     else:
-        value = Fraction(text)
-    return value if mode == EXACT else float(value)
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"numeral {text!r} has a zero denominator") from None
+    if mode == EXACT:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"numeral {text!r} overflows a double") from None
 
 
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:

@@ -280,8 +280,27 @@ def test_sample_csv_output(tmp_path, capsys):
     assert code == 0
     with open(out_file, newline="") as handle:
         rows = list(csv.DictReader(handle))
-    assert len(rows) == 4
+    assert len(rows) == 6
     assert rows[0]["identity"] == "chi-merge"
+    params = [json.loads(row["params"]) for row in rows]
+    # Four two-sample moments, then the exact targets at orders 2 and 4.
+    assert [(p["verdicts"], p["order"]) for p in params] == [
+        *(("moments", k) for k in (1, 2, 3, 4)),
+        *(("exact_verdicts", k) for k in (2, 4)),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("order", ["120", "200"])
+def test_sample_overflowed_statistics_exit_2(capsys, order):
+    """From order 89 on, x^k overflows a double at these draws: no verdict
+    may come from infinite or NaN statistics."""
+    code, out, err = run(capsys, "sample", "inner-product", "--order", order,
+                         "--count", "1000", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "overflow a double from order 89" in err
 
 
 def test_sample_rejects_tiny_count(capsys):

@@ -426,6 +426,13 @@ OFF_GRID_T = exact(q(1, 3), q(2, 3))
 OFF_GRID_ROTATION = mat_mul(complex_givens(3, 0, 1, OFF_GRID_T), complex_givens(3, 1, 2, OFF_GRID_T))
 OFF_GRID_CS = cayley(OFF_GRID_T)
 OFF_GRID_POINT = (exact(q(2, 3)), exact(q(-1, 5)), P_VALUES[0])
+# (u+v)/2 and (u-v)/2 for u = (1,2,2), v = (2,3,6): norms 3 and 7; and each
+# vector padded with a zero into a 2x2 matrix.
+NORM_PAIR = (
+    (exact(q(3, 2)), exact(q(5, 2)), exact(4)),
+    (exact(q(-1, 2)), exact(q(-1, 2)), exact(-2)),
+)
+NORM_MATRICES = tuple((v[:2], (v[2], ZERO)) for v in NORM_PAIR)
 
 
 def assert_same_rows(batch, singles):
@@ -516,9 +523,7 @@ def test_reports_with_no_degrees_are_empty(mode):
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_pair_reports_match_single_degree_calls(mode):
-    # (u+v)/2 and (u-v)/2 for u = (1,2,2), v = (2,3,6): norms 3 and 7.
-    xv = as_mode((exact(q(3, 2)), exact(q(5, 2)), exact(4)), mode)
-    yv = as_mode((exact(q(-1, 2)), exact(q(-1, 2)), exact(-2)), mode)
+    xv, yv = as_mode(NORM_PAIR, mode)
     p_values = as_mode(P_VALUES, mode)
     degrees = range(9)
     assert_same_rows(
@@ -529,8 +534,7 @@ def test_pair_reports_match_single_degree_calls(mode):
         inner_product_moment_reports(degrees, xv, yv, p_values),
         [inner_product_moment_identity(big_m, xv, yv, p) for big_m in degrees for p in p_values],
     )
-    xm, ym = (xv[:2], (xv[2], ZERO)), (yv[:2], (yv[2], ZERO))
-    xm, ym = as_mode((xm, ym), mode)
+    xm, ym = as_mode(NORM_MATRICES, mode)
     assert_same_rows(
         matrix_moment_reports(degrees, xm, ym),
         [matrix_moment_identity(big_m, xm, ym) for big_m in degrees],
@@ -631,11 +635,33 @@ def test_factorization_rhs_one_integer_off_fails(monkeypatch):
     assert_fail_with_true_residual(reports)
 
 
+def test_graczyk_rhs_one_integer_off_fails(monkeypatch):
+    """Every entry of the Graczyk right side's fold moved by 1 over the
+    shared denominator, in the sum rule and in both moment identities.
+    (Moving every ``_binomial_fold`` entry would move both sides alike.)"""
+    rhs_ints = identities._graczyk_rhs_ints
+    monkeypatch.setattr(
+        identities, "_graczyk_rhs_ints", lambda *args: [plus_one(v) for v in rhs_ints(*args)]
+    )
+    xv, yv = NORM_PAIR
+    reports = [
+        *graczyk_reports(range(7), xv, yv, P_VALUES),
+        *inner_product_moment_reports(range(7), xv, yv, P_VALUES),
+        *matrix_moment_reports(range(7), *NORM_MATRICES),
+    ]
+    assert len(reports) == 63
+    assert_fail_with_true_residual(reports)
+
+
 def test_passing_exact_sides_share_one_scalar():
     c, s = OFF_GRID_CS
+    xv, yv = NORM_PAIR
     reports = [
         *rotation_reports(range(7), OFF_GRID_ROTATION, ROTATION_XV, P_VALUES[0]),
         *factorization_reports([(2, 3), (4, 0)], c, s, (OFF_GRID_POINT,)),
+        *graczyk_reports(range(7), xv, yv, P_VALUES),
+        *inner_product_moment_reports(range(7), xv, yv, P_VALUES),
+        *matrix_moment_reports(range(7), *NORM_MATRICES),
     ]
     for report in reports:
         assert report.verdict == "exact-pass"

@@ -21,25 +21,25 @@ from ghkernel.cli import main
 from ghkernel.sweeps import SWEEPS, grid_description
 
 SWEEP_DIGESTS = {
-    ("graczyk", "exact"): "715c36ac0c48e2bf4f764dcbf7ac956927a981a5c3248711ed76674b8ebc2077",
-    ("rotation", "exact"): "f97876ed56db8a741a012e9ff2b5115d1bf297e0f72b6da0767be3a88d004634",
-    ("factorization", "exact"): "f1a3bc6b20e5a1f6db6a24ee47f1199af12b5bb24ce8296f27019350cac09c81",
-    ("inner-product-moments", "exact"): "a24515d085621d52bb54318645038d2d048dc67e2e481575581559eff9f3161a",
-    ("matrix", "exact"): "43bb0ba65e4166599577317ac8cb33d6efd4d9a748a57ac2501702063db62f84",
-    ("graczyk", "float"): "4467c7f889b754aca26f74ddaa09a74c38fa18af77c0614d56e4837cee83ee82",
-    ("rotation", "float"): "45734e68918075067d6d2e54f2b8e7551a12bceb6d36da238a31d16566f12972",
-    ("factorization", "float"): "2620fcbbecbef082149b1cb21a48ee87c39148f518c65950ab09ecee099c5646",
-    ("inner-product-moments", "float"): "5e8eec36cd72cf9f16db53f91c0b704606b6612c1a306eb5a39b3951bd646e98",
-    ("matrix", "float"): "3a7b7e26bef1ab5de2f95dbfe7bbe2ace3f361554bc8e4febf8585dca5be90cb",
+    ("graczyk", "exact"): "a35ccd1c6272664fcd8130a5bfcb59451a9bf9d8d775c6a39704f90c5cdb2581",
+    ("rotation", "exact"): "8aaf6d748b42e44b8fa97c8c8d4eb8a1f198603e1bb384c8e6500290d35134e3",
+    ("factorization", "exact"): "d4cfd933495813cfa018076fc705d03c24e205abf8a3fa1ca739f027194668a2",
+    ("inner-product-moments", "exact"): "88db07d49b0e985d46e34cb0cb82294247d0f4bf9c9f540aa3e13b281b5a87ea",
+    ("matrix", "exact"): "b6382bfd497751988634d4bb8526703e06921ffc89fa240ff5175a2a776e0733",
+    ("graczyk", "float"): "a1c997ec06c31c148c1328d712ad32a8f41de6aa38cba428baa5e291a951b5dd",
+    ("rotation", "float"): "54929d9c2474ef0e7b276d6731c24f45e20ed4a32c9f84134049c10517fc6601",
+    ("factorization", "float"): "6500cbadc3f59498bf81a942a2058946f136f92335c95e31c785c0a49c3493cd",
+    ("inner-product-moments", "float"): "75f813956ef33a9e40f5751a6c5f62ec9633388fb599d1bd1d41a6e076696e99",
+    ("matrix", "float"): "5090ef607cb94d97a1c5d543002fb19a18f96a427fe3a2fceff93612f9cdf50e",
 }
 
 POINT_DIGESTS = {
     ("--xv", "3,4", "--yv", "3,4", "--p", "1"):
-        "dcbab88ee6ff259d3d445dc953f598ca5de9d74e0dd4f606ef1fd9be4fba82e8",
+        "02654a116bda4e0a154b039e717d47b0ba2b5d5763b89e98efb1bcdd131944f2",
     ("--xv", "3,4", "--yv", "1,-2", "--mode", "float"):
-        "b98ce3f09f73068b15e8c40c3df604ff583e3de106c4570a33ab64da1a33936a",
+        "841eb7fc826422798fc68c78f1f0df9270f48919dfa8171bc97aca8476a2a77e",
     ("--xv", "3,4", "--yv", "3,4"):
-        "7800d1b5ba2f92e89029b03da705e51bce699ae7a25c6bee9dccb774ffa1df58",
+        "7a3f99eae0b7a8d91141f0c1c794d032de351df3ac351744f3586486f21d3a25",
 }
 
 # An odd count large enough that every target draws its samples in
@@ -49,16 +49,16 @@ SAMPLE_SEED = "7"
 
 SAMPLE_DIGESTS = {
     ("inner-product", "--ks"):
-        "e2cce0b31bddc1b5a25c0dee047f82abdbd956165f96c82c6f0f1f6826470050",
+        "33b28141b7c60def9a1d4fe1e562327d72a81701d4a90fbd8a81d8491e993d77",
     ("matrix",):
-        "0474809b0685191a300f6371983f515ae14b9f4cc11ad0f9b97d6efdac71656c",
+        "71ae0df72700c883bf6e9cbc16ff7e0390e323cbe15d6298b22c41595f3613f2",
     ("chi-merge",):
-        "c23705394b4675b20c46e61d15533e9bebadb73539dc932ed3b60428e1c04b29",
+        "966023e344bfcec17566f945b4ba4f80ef203159119b9efcac3a55d16fe809b6",
     # n = 1: the right-hand side draws no chi block.
     ("inner-product", "--xv", "2", "--yv", "5", "--format", "csv"):
-        "cdbc3466c737caeed4350bbaf422809214ed259d1b9338cb454a1aff0071e53d",
+        "43eedc9bd051ce733b37ae81204eedb234e71708b8d0ff29d947b422ac33a034",
     ("matrix", "--xm", "1,2,3;4,5,6", "--ym", "0,1,0;1,0,1"):
-        "0ecdc94a610632efc778a622cf4497311c86fcd64c7331e0890328b54ac1cd46",
+        "fc62d2737441e29caf114d3c41f702c801d6feab83abc4496c69d528aabb235e",
 }
 
 REPORT_COUNTS = {

@@ -173,9 +173,12 @@ def test_parse_scalar(text, value):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1/0x", "++2", "3//4", "1+2", "abci"):
+    for bad in ("", "1/0x", "++2", "3//4", "1+2", "abci", "1/0", "2+1/0i"):
         with pytest.raises(ValueError):
             parse_scalar(bad, EXACT)
+    for bad in ("1/0", "1e400", "1-1e400i"):
+        with pytest.raises(ValueError, match="numeral"):
+            parse_scalar(bad, FLOAT)
 
 
 def test_format_parse_roundtrip():

@@ -3,7 +3,8 @@
 A vector pair is polarized once for all its (M, p) checks, and each Givens
 block is built once per set of default rotations; each rotation is the
 left fold of its blocks on Gaussian-integer (float: double) pairs.  The
-rotation rules build their rows once per rotation and per (c, s, point).
+rotation rules build their rows once per rotation and per (c, s, point),
+and the pair rules fold each side once per (pair, p).
 Counting the calls keeps a per-check rebuild from coming back unnoticed;
 the report digests pin what the sweeps return.
 """
@@ -40,6 +41,26 @@ def test_each_vector_pair_is_polarized_once(monkeypatch, mode, identity, distinc
     calls = counting(monkeypatch, identities, "polarization_pair")
     sweeps.SWEEPS[identity](mode)
     assert len(calls) == len(set(calls)) == distinct_pairs
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize(
+    "identity, pairs, p_count",
+    [
+        ("graczyk", 39, len(sweeps.P_GRID)),
+        ("inner-product-moments", 9, len(sweeps.MOMENT_P_VALUES)),
+        ("matrix", 6, 1),
+    ],
+)
+def test_pair_rules_fold_each_side_once_per_pair_and_p(
+    monkeypatch, mode, identity, pairs, p_count
+):
+    """Both Graczyk sides, which the moment identities read too, are one
+    binomial fold each per (pair, p): the left side over the coordinates'
+    rows, the right side over a weight row and the pair's row."""
+    calls = counting(monkeypatch, identities, "_binomial_fold")
+    sweeps.SWEEPS[identity](mode)
+    assert len(calls) == 2 * pairs * p_count
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
