@@ -142,6 +142,8 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """Bilinear (transpose, non-conjugated) inner product sum_i u_i v_i."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
+    if not u:
+        raise ValueError("empty vectors u and v: the dot product needs a coordinate")
     total = zero(u[0].mode)
     for a, b in zip(u, v):
         total = total + a * b
@@ -342,6 +344,8 @@ def _graczyk_lhs_ints(
     product rows, whose weight M!/m! is the left side's 1/m! times M!."""
     if len(xv) != len(yv):
         raise ValueError("dimension mismatch")
+    if not xv:
+        raise ValueError("empty vectors xv and yv: the Graczyk rule needs n >= 1")
     return _binomial_fold(top, [_product_row(top, x, y, lam, p_int) for x, y in zip(xv, yv)])
 
 
@@ -547,7 +551,7 @@ def complex_givens(n: int, i: int, j: int, t: Scalar) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def orthogonality_check(o: Matrix, tolerance: float = ORTHOGONALITY_TOLERANCE) -> bool:
+def orthogonality_check(o: Matrix) -> bool:
     """True iff O O^t = O^t O = I under the bilinear (non-conjugated) form,
     tested as W W^t = den^2 I on the pairs of O = W / den.  Each entry adds
     the terms ``mat_mul`` adds, in its order: float verdicts are unchanged."""
@@ -562,7 +566,7 @@ def orthogonality_check(o: Matrix, tolerance: float = ORTHOGONALITY_TOLERANCE) -
             for c, (re, im) in enumerate(row):
                 if r == c:
                     re -= den * den
-                if (re or im) if exact_mode else math.hypot(re, im) > tolerance:
+                if (re or im) if exact_mode else math.hypot(re, im) > ORTHOGONALITY_TOLERANCE:
                     return False
     return True
 

@@ -2,11 +2,13 @@
 
 Normal variates come from the Box-Muller transform over PCG64 uniforms, a
 fixed and documented layout, so a given (seed, stream_id, count) always
-reproduces the identical sample sequence.  Each sampler draws its rows in
-bounded chunks, jumping the generator to each chunk's place in that layout,
-so its memory is the result vector plus a fixed budget of temporaries,
-whatever the count and the dimension.  The matrix trace samplers are the
-inner-product ones on the flattened matrices at p = 1.
+reproduces the identical sample sequence.  Every sampler is one `_draw`
+call: its blocks lie one after another in the stream, each half of a
+block (cosines, then sines) has its own generators, jumped once to the
+block's start, and one loop reads them in bounded chunks of rows.  So a
+sampler's memory is the result vector plus a fixed budget of
+temporaries, whatever the count and the dimension.  The matrix trace
+samplers are the inner-product ones on the flattened matrices at p = 1.
 
 Moments to order K must match within z combined standard errors (zero for
 an exact target), or within a rounding floor of a few ulps per order when
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,55 +62,24 @@ class RngStream(Record):
 _CHUNK_NORMALS = 1 << 16
 
 
-class _Block:
-    """Read cursor over one Box-Muller block: `size` normals, rows of `width`.
+class _Half:
+    """The cosines (or sines) of the next `left` pairs of a Box-Muller block.
 
-    The block's uniforms start at output `offset` of the stream: U1 of
-    pair j is output offset + j and U2 is output offset + pairs + j.
-    Normal i is the cosine of pair i for i < pairs, and the sine of pair
-    i - pairs after that, so both halves read the same uniforms.
+    A block of `size` normals has pairs = (size + 1) // 2 and its uniforms
+    start at stream output `offset`: U1 of pair j is output offset + j and
+    U2 is output offset + pairs + j.  Its normals are the cosines of all
+    pairs, then the sines of the first size - pairs.
     """
 
-    def __init__(self, stream: RngStream, offset: int, size: int, width: int) -> None:
-        self.stream = stream
-        self.offset = offset
-        self.size = size
-        self.width = width
-        self.pairs = (size + 1) // 2
-        self.done = 0
-        self._rewind()
+    __slots__ = ("u1", "u2", "left", "trig")
 
-    def _rewind(self) -> None:
-        self.u1 = self.stream.generator(self.offset)
-        self.u2 = self.stream.generator(self.offset + self.pairs)
-
-    def take(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(U1, U2, is_cosine) of the next normals, at most `count` of them,
-        stopping at the end of the current half."""
-        if self.done == self.pairs:
-            self._rewind()
-        cosine = self.done < self.pairs
-        step = min(count, (self.pairs if cosine else self.size) - self.done)
-        self.done += step
-        return self.u1.random(step), self.u2.random(step), cosine
-
-    def rows(self, count: int) -> np.ndarray:
-        """The next `count` rows, as a (count, width) array."""
-        return _box_muller(self, count * self.width).reshape(count, self.width)
-
-
-def _blocks(
-    stream: RngStream, count: int, *widths: int
-) -> tuple[list[_Block], Iterator[tuple[int, int]]]:
-    """Consecutive blocks of `count` rows, one per width, in draw order,
-    each taking 2 * pairs outputs; and the row ranges of the chunks, each
-    drawing at most `_CHUNK_NORMALS` normals over all blocks."""
-    blocks = []
-    offset = 0
-    for width in widths:
-        blocks.append(_Block(stream, offset, count * width, width))
-        offset += 2 * blocks[-1].pairs
-    return blocks, _row_chunks(count, sum(widths))
+    def __init__(
+        self, stream: RngStream, offset: int, pairs: int, left: int, trig: np.ufunc
+    ) -> None:
+        self.u1 = stream.generator(offset)
+        self.u2 = stream.generator(offset + pairs)
+        self.left = left
+        self.trig = trig
 
 
 def _row_chunks(count: int, width: int) -> Iterator[tuple[int, int]]:
@@ -118,17 +89,44 @@ def _row_chunks(count: int, width: int) -> Iterator[tuple[int, int]]:
     return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
-def _box_muller(block: _Block, count: int) -> np.ndarray:
-    """The next `count` normals of `block`, bit for bit as if drawn whole."""
+def _box_muller(block: list[_Half], count: int) -> np.ndarray:
+    """The next `count` normals of `block`, bit for bit as if drawn whole:
+    what is left of its cosine half, then of its sine half."""
     parts = []
-    while count:
-        u1, u2, cosine = block.take(count)
-        count -= u1.size
+    for half in block:
+        step = min(count, half.left)
+        if not step:
+            continue
+        half.left -= step
+        count -= step
         # U1 is shifted to (0, 1] so the log never sees zero.
-        radius = np.sqrt(-2.0 * np.log(1.0 - u1))
-        angle = 2.0 * np.pi * u2
-        parts.append(radius * (np.cos(angle) if cosine else np.sin(angle)))
+        radius = np.sqrt(-2.0 * np.log(1.0 - half.u1.random(step)))
+        parts.append(radius * half.trig(2.0 * np.pi * half.u2.random(step)))
     return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0), *parts])
+
+
+def _draw(
+    stream: RngStream, count: int, widths: Sequence[int], combine: Callable[..., np.ndarray]
+) -> np.ndarray:
+    """`combine(*rows)` for `count` draws, one value each.
+
+    One block of `count` rows per width, in draw order, each taking
+    2 * pairs outputs of the stream after the blocks before it.  The rows
+    come in chunks of at most `_CHUNK_NORMALS` normals over all blocks;
+    `combine` gets each block's chunk as a (rows, width) array.
+    """
+    blocks = []
+    offset = 0
+    for width in widths:
+        pairs = (count * width + 1) // 2
+        halves = ((pairs, np.cos), (count * width - pairs, np.sin))
+        blocks.append([_Half(stream, offset, pairs, left, trig) for left, trig in halves])
+        offset += 2 * pairs
+    out = np.empty(count)
+    for lo, hi in _row_chunks(count, sum(widths)):
+        rows = [_box_muller(b, (hi - lo) * w).reshape(hi - lo, w) for b, w in zip(blocks, widths)]
+        out[lo:hi] = combine(*rows)
+    return out
 
 
 def _squared_norms(normals: np.ndarray) -> np.ndarray:
@@ -139,22 +137,14 @@ def sample_gaussian(stream: RngStream, count: int) -> np.ndarray:
     """i.i.d. standard normal variates, deterministic per stream."""
     if count < 0:
         raise ValueError("count must be a natural number")
-    (block,), chunks = _blocks(stream, count, 1)
-    out = np.empty(count)
-    for lo, hi in chunks:
-        out[lo:hi] = block.rows(hi - lo)[:, 0]
-    return out
+    return _draw(stream, count, (1,), lambda rows: rows[:, 0])
 
 
 def sample_chi(stream: RngStream, k: int, count: int) -> np.ndarray:
     """chi_k variates: Euclidean norms of k-dimensional standard normals."""
     if k < 1:
         raise ValueError("chi needs at least one degree of freedom")
-    (block,), chunks = _blocks(stream, count, k)
-    out = np.empty(count)
-    for lo, hi in chunks:
-        out[lo:hi] = np.sqrt(_squared_norms(block.rows(hi - lo)))
-    return out
+    return _draw(stream, count, (k,), lambda rows: np.sqrt(_squared_norms(rows)))
 
 
 def chi_even_moment(dof: int, j: int) -> Fraction:
@@ -171,13 +161,7 @@ def chi_merge_samples(stream: RngStream, a: int, b: int, count: int) -> np.ndarr
     """Samples of sqrt(chi_a^2 + chi_b^2) from independent blocks."""
     if a < 1 or b < 1:
         raise ValueError("both degree counts must be >= 1")
-    (block_a, block_b), chunks = _blocks(stream, count, a, b)
-    out = np.empty(count)
-    for lo, hi in chunks:
-        first = _squared_norms(block_a.rows(hi - lo))
-        second = _squared_norms(block_b.rows(hi - lo))
-        out[lo:hi] = np.sqrt(first + second)
-    return out
+    return _draw(stream, count, (a, b), lambda u, v: np.sqrt(_squared_norms(u) + _squared_norms(v)))
 
 
 def _pair_floats(pair: PolarizationPair) -> tuple[float, float]:
@@ -196,18 +180,16 @@ def inner_product_lhs_samples(
     """Samples of (xv + sqrt(p) N)^t (yv + sqrt(p) M), fresh noise per draw."""
     x = np.asarray(xv, dtype=float)
     y = np.asarray(yv, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("need two equal-length vectors")
+    if x.ndim != 1 or x.shape != y.shape or not x.size:
+        raise ValueError("need two equal-length non-empty vectors")
     if p < 0:
         raise ValueError("sampling needs p >= 0 (real sqrt(p))")
     root = math.sqrt(p)
-    (block_x, block_y), chunks = _blocks(stream, count, x.size, x.size)
-    out = np.empty(count)
-    for lo, hi in chunks:
-        noise_x = block_x.rows(hi - lo)
-        noise_y = block_y.rows(hi - lo)
-        out[lo:hi] = ((x + root * noise_x) * (y + root * noise_y)).sum(axis=1)
-    return out
+
+    def combine(noise_x, noise_y):
+        return ((x + root * noise_x) * (y + root * noise_y)).sum(axis=1)
+
+    return _draw(stream, count, (x.size, x.size), combine)
 
 
 def inner_product_rhs_samples(
@@ -229,15 +211,12 @@ def inner_product_rhs_samples(
         raise ValueError("dimension must be at least 1")
     x, y = _pair_floats(pair)
     root = math.sqrt(p)
-    (n1, m1, chi, final), chunks = _blocks(stream, count, 1, 1, n - 1, 1)
-    out = np.empty(count)
-    for lo, hi in chunks:
-        first = n1.rows(hi - lo)[:, 0]
-        second = m1.rows(hi - lo)[:, 0]
-        z = np.sqrt(_squared_norms(chi.rows(hi - lo)))
-        last = final.rows(hi - lo)[:, 0]
-        out[lo:hi] = (x + root * first) * (y + root * second) + p * z * last
-    return out
+
+    def combine(first, second, chi, last):
+        z = np.sqrt(_squared_norms(chi))
+        return (x + root * first[:, 0]) * (y + root * second[:, 0]) + p * z * last[:, 0]
+
+    return _draw(stream, count, (1, 1, n - 1, 1), combine)
 
 
 def matrix_trace_samples(
@@ -281,19 +260,20 @@ def _power_sums(
     arr: np.ndarray, order: int, centres: Sequence[float] | None = None
 ) -> list[float]:
     """Sums over `arr` of x^k for k = 1..order, or of (x^k - centres[k-1])^2
-    when `centres` is given, one chunk at a time."""
+    when `centres` is given, one chunk at a time; silent inf or nan on overflow."""
     sums = [0.0] * order
-    for lo, hi in _row_chunks(arr.size, 1):
-        chunk = arr[lo:hi]
-        power = chunk.copy()
-        for k in range(order):
-            if k:
-                power *= chunk
-            term = power
-            if centres is not None:
-                term = power - centres[k]
-                term *= term
-            sums[k] += float(term.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _row_chunks(arr.size, 1):
+            chunk = arr[lo:hi]
+            power = chunk.copy()
+            for k in range(order):
+                if k:
+                    power *= chunk
+                term = power
+                if centres is not None:
+                    term = power - centres[k]
+                    term *= term
+                sums[k] += float(term.sum())
     return sums
 
 

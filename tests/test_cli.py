@@ -290,8 +290,7 @@ def test_sample_csv_output(tmp_path, capsys):
     ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("order", ["120", "200"])
 def test_sample_overflowed_statistics_exit_2(capsys, order):
     """From order 89 on, x^k overflows a double at these draws: no verdict

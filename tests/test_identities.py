@@ -31,7 +31,7 @@ from ghkernel import (
     polarization_pair,
     rotation_sumrule,
 )
-from ghkernel.identities import mat_flatten, relative_residual
+from ghkernel.identities import graczyk_reports, mat_flatten, relative_residual
 
 
 def exact_vec(*values):
@@ -74,6 +74,17 @@ def test_polarization_rejects_complex_and_mismatched_inputs():
         polarization_pair((exact(0, 1),), (exact(1),))
     with pytest.raises(ValueError):
         polarization_pair(exact_vec(1, 2), exact_vec(1,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: graczyk_lhs(2, (), (), exact(1)),
+    lambda: polarization_pair((), ()),
+    lambda: graczyk_reports((2,), (), (), (exact(1),)),
+    lambda: inner_product_moment_identity(2, (), (), exact(1)),
+], ids=["graczyk_lhs", "polarization_pair", "graczyk_reports", "inner_product_moment_identity"])
+def test_empty_vectors_raise_value_error(call):
+    with pytest.raises(ValueError, match="empty vectors"):
+        call()
 
 
 def test_polarization_pair_invariants():

@@ -99,6 +99,13 @@ def test_inner_product_lhs_scalar_second_moment():
     assert all(v.passed for v in verdicts)
 
 
+def test_inner_product_samplers_reject_empty_vectors():
+    with pytest.raises(ValueError, match="non-empty"):
+        inner_product_lhs_samples([], [], 1.0, RngStream(0, 0), 10)
+    with pytest.raises(ValueError, match="non-empty"):
+        matrix_trace_samples([[]], [[]], RngStream(0, 0), 10)
+
+
 def test_inner_product_rejects_negative_p():
     with pytest.raises(ValueError):
         inner_product_lhs_samples([1], [1], -1.0, RngStream(0, 0), 10)
@@ -476,7 +483,7 @@ def test_chunked_samplers_match_materialised_draws(monkeypatch, budget, name):
     width, sampler, reference = CHUNKED[name]
     rows = max(1, sampling._CHUNK_NORMALS // width)
     stream = RngStream(91, 3)
-    for count in sorted({1, 2, 1001, rows - 1, rows, rows + 1} - {0}):
+    for count in sorted({1, 2, 1001, rows - 1, rows, rows + 1, 2 * rows} - {0}):
         got = sampler(stream, count)
         want = reference(stream, count)
         assert got.shape == want.shape == (count,)
