@@ -119,16 +119,16 @@ def canonical_json(obj: object) -> str:
 
 
 def _parse_vector(text: str, mode: str) -> Vector:
-    parts = [chunk for chunk in text.split(",") if chunk.strip()]
-    if not parts:
-        raise ValueError(f"empty vector {text!r}")
-    return tuple(parse_scalar(chunk, mode) for chunk in parts)
+    entries = text.split(",")
+    if not all(entry.strip() for entry in entries):
+        raise ValueError(f"blank entry in vector {text!r}")
+    return tuple(parse_scalar(entry, mode) for entry in entries)
 
 
 def _parse_matrix(text: str, mode: str) -> Matrix:
-    rows = [row for row in text.split(";") if row.strip()]
-    if not rows:
-        raise ValueError(f"empty matrix {text!r}")
+    rows = text.split(";")
+    if not all(row.strip() for row in rows):
+        raise ValueError(f"blank row in matrix {text!r}")
     matrix = tuple(_parse_vector(row, mode) for row in rows)
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("matrix rows differ in length")
@@ -190,6 +190,16 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+def _finish(args: argparse.Namespace, payload: dict[str, object], csv_text: Callable[[], str],
+            head: str, passed: str, failed: str) -> int:
+    """The tail of `verify` and `sample`: write the report as JSON or as
+    `csv_text()`, print `head` and the outcome on stderr, and exit 0 when
+    `payload["all_pass"]`, else 1."""
+    _emit(csv_text() if args.format == "csv" else canonical_json(payload), args.out)
+    print(head + (passed if payload["all_pass"] else failed), file=sys.stderr)
+    return 0 if payload["all_pass"] else 1
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -223,18 +233,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if mode == FLOAT and tolerance is None:
         tolerance = DEFAULT_FLOAT_TOLERANCE
 
-    explicit_point = args.xv is not None or args.yv is not None
-    if explicit_point:
+    if args.xv is not None or args.yv is not None:
         if args.identity != "graczyk":
             raise ValueError("--xv/--yv overrides apply to the graczyk identity only")
         if args.xv is None or args.yv is None:
             raise ValueError("need both --xv and --yv")
         xv = _parse_vector(args.xv, mode)
         yv = _parse_vector(args.yv, mode)
-        if args.p is not None:
-            p_values = (parse_scalar(args.p, mode),)
-        else:
-            p_values = in_mode(P_GRID, mode)
+        p_values = in_mode(P_GRID, mode) if args.p is None else (parse_scalar(args.p, mode),)
         reports = graczyk_reports(DEGREES, xv, yv, p_values, tolerance)
         grid: dict[str, object] = {
             "explicit_point": {"xv": args.xv, "yv": args.yv, "p": args.p or "default grid"}
@@ -246,27 +252,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         grid = grid_description(args.identity)
 
     rows = [_report_row(r) for r in reports]
-    all_pass = all(r.passed for r in reports)
-    if args.format == "csv":
-        text = _rows_to_csv(rows)
-    else:
-        envelope = {
-            "all_pass": all_pass,
-            "command": "verify",
-            "grid": grid,
-            "identity": args.identity,
-            "mode": mode,
-            "report_count": len(rows),
-            "reports": rows,
-            "spec_version": SPEC_VERSION,
-            "tolerance": tolerance,
-        }
-        text = canonical_json(envelope)
-    _emit(text, args.out)
-    summary = f"verify {args.identity}: {len(rows)} checks, "
-    summary += "all pass" if all_pass else "FAILURES present"
-    print(summary, file=sys.stderr)
-    return 0 if all_pass else 1
+    envelope = {
+        "all_pass": all(r.passed for r in reports),
+        "command": "verify",
+        "grid": grid,
+        "identity": args.identity,
+        "mode": mode,
+        "report_count": len(rows),
+        "reports": rows,
+        "spec_version": SPEC_VERSION,
+        "tolerance": tolerance,
+    }
+    return _finish(args, envelope, lambda: _rows_to_csv(rows),
+                   f"verify {args.identity}: {len(rows)} checks, ", "all pass", "FAILURES present")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +343,7 @@ def _both_sides(
         return side(draw_lhs), rhs.result()
 
 
-def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
+def _sample_payload(args: argparse.Namespace) -> dict[str, object]:
     seed, count, order, z = args.seed, args.count, args.order, args.z
     if not 0 < z < math.inf:
         raise ValueError("the z threshold must be finite and positive")
@@ -397,17 +395,12 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
         sample_chi,
     )
 
-    lhs_stream = RngStream(seed, 0)
-    rhs_stream = RngStream(seed, 1)
-    extra: dict[str, object] = {}
+    lhs_stream, rhs_stream = RngStream(seed, 0), RngStream(seed, 1)
+    exact_targets: dict[int, float] = {}
     if args.target == "chi-merge":
         draw_lhs = partial(chi_merge_samples, lhs_stream, a, b, count)
         draw_rhs = partial(sample_chi, rhs_stream, a + b, count)
-        exact_targets = {
-            2: float(chi_even_moment(a + b, 1)),
-            4: float(chi_even_moment(a + b, 2)),
-        }
-        extra["exact_moments"] = {str(k): v for k, v in exact_targets.items()}
+        exact_targets = {k: float(chi_even_moment(a + b, k // 2)) for k in (2, 4)}
     else:
         draw_lhs = partial(
             inner_product_lhs_samples,
@@ -418,32 +411,28 @@ def _sample_payload(args: argparse.Namespace) -> tuple[dict[str, object], bool]:
 
     (lhs, lhs_stats), (rhs, rhs_stats) = _both_sides(draw_lhs, draw_rhs, order)
     _require_finite(lhs_stats, rhs_stats)
+    # One verdict list: the `order` two-sample verdicts, then the exact ones.
+    exact_orders = {k: v for k, v in exact_targets.items() if k <= order}
     verdicts = moment_match(lhs_stats, rhs_stats, order, z)
-    all_pass = all(v.passed for v in verdicts)
-
-    if args.target == "chi-merge":
-        exact_orders = {k: v for k, v in exact_targets.items() if k <= order}
-        exact_verdicts = moment_match_exact(lhs_stats, exact_orders, z)
-        extra["exact_verdicts"] = _verdict_rows(exact_verdicts)
-        all_pass = all_pass and all(v.passed for v in exact_verdicts)
-
-    if args.ks:
-        # Last use of the samples: this sorts them in place.
-        statistic, pvalue = ks_two_sample(lhs, rhs)
-        extra["ks"] = {"statistic": statistic, "pvalue": pvalue}
-
+    verdicts += moment_match_exact(lhs_stats, exact_orders, z)
     payload: dict[str, object] = {
-        "all_pass": all_pass,
+        "all_pass": all(v.passed for v in verdicts),
         "command": "sample",
         "lhs_stats": _stats_row(lhs_stats),
-        "moments": _verdict_rows(verdicts),
+        "moments": _verdict_rows(verdicts[:order]),
         "params": params,
         "rhs_stats": _stats_row(rhs_stats),
         "spec_version": SPEC_VERSION,
         "target": args.target,
     }
-    payload.update(extra)
-    return payload, all_pass
+    if exact_targets:
+        payload["exact_moments"] = {str(k): v for k, v in exact_targets.items()}
+        payload["exact_verdicts"] = _verdict_rows(verdicts[order:])
+    if args.ks:
+        # Last use of the samples: this sorts them in place.
+        statistic, pvalue = ks_two_sample(lhs, rhs)
+        payload["ks"] = {"statistic": statistic, "pvalue": pvalue}
+    return payload
 
 
 def _sample_csv(payload: dict[str, object]) -> str:
@@ -470,16 +459,9 @@ def _sample_csv(payload: dict[str, object]) -> str:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    payload, all_pass = _sample_payload(args)
-    if args.format == "csv":
-        text = _sample_csv(payload)
-    else:
-        text = canonical_json(payload)
-    _emit(text, args.out)
-    summary = f"sample {args.target}: "
-    summary += "all moments match" if all_pass else "MOMENT MISMATCH"
-    print(summary, file=sys.stderr)
-    return 0 if all_pass else 1
+    payload = _sample_payload(args)
+    return _finish(args, payload, lambda: _sample_csv(payload),
+                   f"sample {args.target}: ", "all moments match", "MOMENT MISMATCH")
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="highest moment order to match")
     p_sample.add_argument("--z", type=float, default=DEFAULT_Z,
                           help="pass threshold in combined standard errors")
-    p_sample.add_argument("--xv", help="first vector (inner-product)")
-    p_sample.add_argument("--yv", help="second vector (inner-product)")
-    p_sample.add_argument("--p", help="noise scale p > 0 (inner-product)")
-    p_sample.add_argument("--xm", help="first matrix (matrix)")
-    p_sample.add_argument("--ym", help="second matrix (matrix)")
-    p_sample.add_argument("--a", type=int, help="first dof (chi-merge)")
-    p_sample.add_argument("--b", type=int, help="second dof (chi-merge)")
+    for target, options in SAMPLE_OPTIONS.items():
+        for name, default in options.items():
+            p_sample.add_argument(f"--{name}", type=type(default),
+                                  help=f"{target} only (default {default})")
     p_sample.add_argument("--ks", action="store_true",
                           help="include the Kolmogorov-Smirnov diagnostic")
     p_sample.add_argument("--out", help="report path (default: stdout)")

@@ -176,9 +176,10 @@ def mat_flatten(a: Matrix) -> Vector:
     return tuple(entry for row in a for entry in row)
 
 
-def _check_rectangular(a: Matrix) -> tuple[int, int]:
-    rows = len(a)
-    cols = len(a[0])
+def _check_rectangular(a: Matrix, name: str) -> tuple[int, int]:
+    if not a:
+        raise ValueError(f"empty matrix {name}: a matrix needs a row")
+    rows, cols = len(a), len(a[0])
     if any(len(row) != cols for row in a):
         raise ValueError("ragged matrix")
     return rows, cols
@@ -317,8 +318,8 @@ def matrix_polarization(xm: Matrix, ym: Matrix) -> PolarizationPair:
     vector construction applied entry-wise: x = (||xm+ym||_F + ||xm-ym||_F)/2
     and y with the minus sign.
     """
-    shape_x = _check_rectangular(xm)
-    shape_y = _check_rectangular(ym)
+    shape_x = _check_rectangular(xm, "xm")
+    shape_y = _check_rectangular(ym, "ym")
     if shape_x != shape_y:
         raise ValueError(f"shape mismatch: {shape_x} vs {shape_y}")
     return polarization_pair(mat_flatten(xm), mat_flatten(ym))
@@ -555,7 +556,7 @@ def orthogonality_check(o: Matrix) -> bool:
     """True iff O O^t = O^t O = I under the bilinear (non-conjugated) form,
     tested as W W^t = den^2 I on the pairs of O = W / den.  Each entry adds
     the terms ``mat_mul`` adds, in its order: float verdicts are unchanged."""
-    rows, cols = _check_rectangular(o)
+    rows, cols = _check_rectangular(o, "o")
     if rows != cols:
         raise ValueError("matrix must be square")
     den, w = pairs = _to_pairs(o)

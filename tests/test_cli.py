@@ -102,6 +102,25 @@ def test_verify_graczyk_explicit_point_passes(tmp_path, capsys):
     assert worked[0]["verdict"] == "exact-pass"
 
 
+@pytest.mark.parametrize(
+    "xv, yv",
+    [("3,,4", "3,4"), ("3,4", "3,4,"), ("3,4", ",3,4"), ("3, ,4", "3,4"), ("", "3,4")],
+)
+def test_verify_blank_vector_entry_exits_2(capsys, xv, yv):
+    code, _, err = run(capsys, "verify", "graczyk", f"--xv={xv}", f"--yv={yv}", "--p", "1")
+    assert code == 2
+    assert "blank entry in vector" in err
+
+
+def test_verify_whitespace_around_entries_is_allowed(tmp_path, capsys):
+    spaced, plain = tmp_path / "spaced.json", tmp_path / "plain.json"
+    assert run(capsys, "verify", "graczyk", "--xv", " 3 , 4", "--yv", "3,4 ", "--p", "1",
+               "--out", str(spaced))[0] == 0
+    assert run(capsys, "verify", "graczyk", "--xv", "3,4", "--yv", "3,4", "--p", "1",
+               "--out", str(plain))[0] == 0
+    assert json.loads(spaced.read_text())["reports"] == json.loads(plain.read_text())["reports"]
+
+
 def test_verify_matrix_sweep_and_json_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "matrix.json"
     code, _, err = run(capsys, "verify", "matrix", "--out", str(out_file))
@@ -223,6 +242,26 @@ def test_sample_chi_merge(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     assert payload["exact_moments"] == {"2": 7.0, "4": 63.0}
     assert all(v["verdict"] == "pass" for v in payload["exact_verdicts"])
+
+
+def test_sample_failing_exact_verdicts_alone_fail(tmp_path, monkeypatch, capsys):
+    """Chi-merge's exact verdicts share the one verdict list: with its exact
+    targets 10 % off and every two-sample moment passing, `sample` fails."""
+    exact = sampling.chi_even_moment
+    monkeypatch.setattr(sampling, "chi_even_moment", lambda dof, j: exact(dof, j) * 11 / 10)
+    report, table = tmp_path / "chi.json", tmp_path / "chi.csv"
+    argv = ("sample", "chi-merge", "--count", "20000", "--seed", "3")
+    code, _, err = run(capsys, *argv, "--out", str(report))
+    assert code == 1 and "MOMENT MISMATCH" in err
+    payload = json.loads(report.read_text())
+    assert payload["all_pass"] is False
+    assert [v["verdict"] for v in payload["moments"]] == ["pass"] * 4
+    assert [v["verdict"] for v in payload["exact_verdicts"]] == ["fail", "fail"]
+    assert run(capsys, *argv, "--format", "csv", "--out", str(table))[0] == 1
+    with open(table, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    verdicts = [(json.loads(row["params"])["verdicts"], row["verdict"]) for row in rows]
+    assert verdicts == [("moments", "pass")] * 4 + [("exact_verdicts", "fail")] * 2
 
 
 def test_sample_matrix_target(tmp_path, capsys):

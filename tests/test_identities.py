@@ -81,9 +81,13 @@ def test_polarization_rejects_complex_and_mismatched_inputs():
     lambda: polarization_pair((), ()),
     lambda: graczyk_reports((2,), (), (), (exact(1),)),
     lambda: inner_product_moment_identity(2, (), (), exact(1)),
-], ids=["graczyk_lhs", "polarization_pair", "graczyk_reports", "inner_product_moment_identity"])
+    lambda: matrix_polarization((), ()),
+    lambda: matrix_moment_identity(2, (), ()),
+    lambda: orthogonality_check(()),
+], ids=["graczyk_lhs", "polarization_pair", "graczyk_reports", "inner_product_moment_identity",
+        "matrix_polarization", "matrix_moment_identity", "orthogonality_check"])
 def test_empty_vectors_raise_value_error(call):
-    with pytest.raises(ValueError, match="empty vectors"):
+    with pytest.raises(ValueError, match="empty (vectors|matrix)"):
         call()
 
 

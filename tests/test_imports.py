@@ -93,8 +93,11 @@ def test_sample_ks_loads_numpy_only(tmp_path):
         ("sample", "matrix", "--xv", "1"),
         ("sample", "inner-product", "--xv", "1,x"),
         ("sample", "inner-product", "--p", "0"),
+        ("sample", "matrix", "--xm", "3,0;;0,0"),
+        ("sample", "inner-product", "--xv", "3,,4"),
     ],
-    ids=["chi-merge-a", "matrix-xv", "inner-product-xv", "inner-product-p"],
+    ids=["chi-merge-a", "matrix-xv", "inner-product-xv", "inner-product-p",
+         "matrix-blank-row", "inner-product-blank-entry"],
 )
 def test_sample_usage_errors_exit_before_numpy(argv):
     """Every input check runs before the sampler import, so a usage error
