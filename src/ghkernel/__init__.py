@@ -9,6 +9,7 @@ associated stochastic representations by seeded moment matching.
 __version__ = "0.4.1"
 
 import importlib
+from types import ModuleType as _ModuleType
 
 from .scalars import (
     EXACT,
@@ -111,81 +112,8 @@ def __getattr__(name: str) -> object:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "EXACT",
-    "EXACT_PASS",
-    "FAIL",
-    "FLOAT",
-    "IdentityReport",
-    "Matrix",
-    "ModeMismatchError",
-    "MomentVerdict",
-    "MultiIndex",
-    "NotExactlyRepresentableError",
-    "PolarizationPair",
-    "RngStream",
-    "SampleStats",
-    "Scalar",
-    "Vector",
-    "WITHIN_TOLERANCE",
-    "chi_even_moment",
-    "chi_merge_samples",
-    "coeff_C",
-    "collect_stats",
-    "complex_givens",
-    "compositions",
-    "default_cs_pairs",
-    "default_rotations",
-    "dot",
-    "exact",
-    "exact_pair_pool",
-    "exact_sqrt",
-    "factorization_sumrule",
-    "factorization_sweep",
-    "flt",
-    "format_scalar",
-    "gaussian_moment",
-    "gh_eval",
-    "gh_eval_recurrence",
-    "gh_moment_oracle",
-    "gh_multi_eval",
-    "graczyk_identity",
-    "graczyk_lhs",
-    "graczyk_rhs",
-    "graczyk_sweep",
-    "grid_description",
-    "hermite_eval",
-    "inner_product_lhs_samples",
-    "inner_product_moment_identity",
-    "inner_product_moment_sweep",
-    "inner_product_rhs_samples",
-    "ks_two_sample",
-    "lift",
-    "magnitude",
-    "mat_identity",
-    "mat_mul",
-    "mat_transpose",
-    "matrix_moment_identity",
-    "matrix_moment_sweep",
-    "matrix_polarization",
-    "matrix_trace_rhs_samples",
-    "matrix_trace_samples",
-    "mi_factorial",
-    "mi_length",
-    "moment_match",
-    "moment_match_exact",
-    "multinomial",
-    "norm_sq",
-    "one",
-    "orthogonality_check",
-    "parse_scalar",
-    "pochhammer",
-    "polarization_pair",
-    "relative_residual",
-    "rotation_sumrule",
-    "rotation_sweep",
-    "sample_chi",
-    "sample_gaussian",
-    "to_float",
-    "zero",
-]
+# The public surface: what the import blocks above bind, and the lazy names.
+__all__ = sorted(
+    {k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType)}
+    | _SAMPLING_NAMES
+)

@@ -210,8 +210,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.hermite:
         if args.n is None:
             raise ValueError("--hermite needs --n")
+        for name in ("m", "p"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} applies to eval without --hermite")
         result = hermite_eval(args.n, x)
     else:
+        if args.n is not None:
+            raise ValueError("--n applies to eval --hermite only")
         if args.m is None or args.p is None:
             raise ValueError("eval needs --m and --p (or --hermite with --n)")
         p = parse_scalar(args.p, mode)
@@ -222,6 +227,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def _require_finite_sides(reports: Sequence[IdentityReport]) -> None:
+    """A float side that overflowed a double decides nothing: raise
+    ValueError naming the first failing check with a side that is not
+    finite."""
+    for r in reports:
+        sides = (r.lhs.re, r.lhs.im, r.rhs.re, r.rhs.im)
+        if not r.passed and not all(map(math.isfinite, sides)):
+            point = ", ".join(f"{k}={v}" for k, v in r.params.items())
+            raise ValueError(
+                f"{r.identity} check at {point} overflows a double; use --mode exact"
+            )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -251,9 +269,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         reports = SWEEPS[args.identity](mode=mode, tolerance=tolerance)
         grid = grid_description(args.identity)
 
+    all_pass = all(r.passed for r in reports)
+    if not all_pass and mode == FLOAT:
+        _require_finite_sides(reports)
     rows = [_report_row(r) for r in reports]
     envelope = {
-        "all_pass": all(r.passed for r in reports),
+        "all_pass": all_pass,
         "command": "verify",
         "grid": grid,
         "identity": args.identity,
@@ -300,6 +321,11 @@ def _require_finite(*stats: SampleStats) -> None:
     finite."""
     for k in range(stats[0].order()):
         if not all(math.isfinite(s.moments[k]) and math.isfinite(s.std_errors[k]) for s in stats):
+            if not k:
+                raise ValueError(
+                    "the samples overflow a double at order 1; no --order helps, "
+                    "scale the inputs down"
+                )
             raise ValueError(
                 f"sample statistics overflow a double from order {k + 1}; lower --order"
             )

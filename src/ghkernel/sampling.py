@@ -123,9 +123,14 @@ def _draw(
         blocks.append([_Half(stream, offset, pairs, left, trig) for left, trig in halves])
         offset += 2 * pairs
     out = np.empty(count)
-    for lo, hi in _row_chunks(count, sum(widths)):
-        rows = [_box_muller(b, (hi - lo) * w).reshape(hi - lo, w) for b, w in zip(blocks, widths)]
-        out[lo:hi] = combine(*rows)
+    # Inputs too large for a double give silent inf or nan samples, which
+    # the caller's statistics check reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _row_chunks(count, sum(widths)):
+            rows = [
+                _box_muller(b, (hi - lo) * w).reshape(hi - lo, w) for b, w in zip(blocks, widths)
+            ]
+            out[lo:hi] = combine(*rows)
     return out
 
 

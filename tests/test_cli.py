@@ -77,6 +77,22 @@ def test_eval_missing_arguments_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("--hermite", "--n", "3", "--m", "5"), "--m"),
+        (("--hermite", "--n", "3", "--p", "2"), "--p"),
+        (("--m", "2", "--p", "1", "--n", "7"), "--n"),
+    ],
+    ids=["hermite-m", "hermite-p", "gh-n"],
+)
+def test_eval_rejects_options_it_would_ignore(capsys, argv, option):
+    code, out, err = run(capsys, "eval", "--x", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{option} applies to eval" in err
+
+
 def test_unknown_identity_exits_2(capsys):
     code = main(["verify", "still-not-an-identity"])
     capsys.readouterr()
@@ -154,6 +170,24 @@ def test_verify_impossible_tolerance_exits_1(tmp_path, capsys):
     assert "FAILURES" in err
     payload = json.loads(out_file.read_text())
     assert payload["all_pass"] is False
+
+
+def test_verify_float_overflow_exits_2(tmp_path, capsys):
+    """The identity holds; float sides of inf and nan decide nothing."""
+    out_file = tmp_path / "overflow.json"
+    code, _, err = run(capsys, "verify", "graczyk", "--mode", "float", "--xv", "1e200,1",
+                       "--yv", "1e200,1", "--p", "1", "--out", str(out_file))
+    assert code == 2
+    assert "graczyk check at M=1," in err
+    assert "overflows a double; use --mode exact" in err
+    assert not out_file.exists()
+
+
+def test_verify_finite_float_failure_still_exits_1(tmp_path, capsys):
+    code, _, err = run(capsys, "verify", "graczyk", "--mode", "float",
+                       "--tolerance", "1e-300", "--out", str(tmp_path / "fail.json"))
+    assert code == 1
+    assert "FAILURES present" in err
 
 
 @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
@@ -339,6 +373,25 @@ def test_sample_overflowed_statistics_exit_2(capsys, order):
     assert code == 2
     assert out == ""
     assert "overflow a double from order 89" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("inner-product", "--xv", "1e308,1", "--yv", "1e308,1"),
+        ("matrix", "--xm", "1e200,0;0,0", "--ym", "1e200,0;0,0"),
+    ],
+    ids=["inner-product", "matrix"],
+)
+def test_sample_overflowing_inputs_exit_2(capsys, argv):
+    """Samples that overflow a double fail at order 1, which no lower
+    --order mends, and numpy's overflow warnings stay silent."""
+    code, out, err = run(capsys, "sample", *argv, "--count", "100")
+    assert code == 2
+    assert out == ""
+    assert "the samples overflow a double at order 1" in err
+    assert "Warning" not in err
 
 
 def test_sample_rejects_tiny_count(capsys):

@@ -6,12 +6,15 @@ no command loads scipy, not even the `--ks` diagnostic.  Only `sample`
 runs a worker thread, so only it loads `concurrent.futures`.  Each case
 runs in a fresh interpreter, since this test process may have imported
 all of them.  No command loads `dataclasses` or `inspect`.  The package
-metadata takes its version from the package itself.
+metadata takes its version from the package itself, and `__all__` is
+derived from the package's imports and its lazy sampling names.
 """
 
 import os
 import subprocess
 import sys
+import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -139,7 +142,29 @@ def test_every_exported_name_resolves():
         assert getattr(ghkernel, name) is not None
     namespace: dict[str, object] = {}
     exec("from ghkernel import *", namespace)
-    assert set(ghkernel.__all__) <= set(namespace)
+    assert set(namespace) - {"__builtins__"} == set(ghkernel.__all__)
+
+
+def test_exports_are_sorted_unique_and_not_modules():
+    names = ghkernel.__all__
+    assert names == sorted(set(names))
+    assert not any(isinstance(getattr(ghkernel, name), types.ModuleType) for name in names)
+
+
+def test_lazy_names_are_the_public_sampling_definitions():
+    """`_SAMPLING_NAMES` is the one list the imports cannot derive: it must
+    name every public function and class that `ghkernel.sampling` defines."""
+    import ghkernel.sampling
+
+    defined = {
+        name
+        for name, value in vars(ghkernel.sampling).items()
+        if not name.startswith("_")
+        and isinstance(value, (type, types.FunctionType))
+        and value.__module__ == ghkernel.sampling.__name__
+    }
+    assert ghkernel._SAMPLING_NAMES == defined
+    assert ghkernel._SAMPLING_NAMES <= set(ghkernel.__all__)
 
 
 def test_lazy_exports_are_the_sampling_objects():
@@ -164,3 +189,10 @@ def test_version_is_stated_once():
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "ghkernel.__version__"
     }
+
+
+def test_warnings_fail_the_suite():
+    """pyproject.toml turns every warning into an error, so a stray numpy
+    RuntimeWarning fails its test instead of scrolling by."""
+    with pytest.raises(UserWarning):
+        warnings.warn("stray", UserWarning)
