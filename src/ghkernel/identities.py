@@ -116,14 +116,23 @@ def make_report(
     tolerance: float | None = None,
 ) -> IdentityReport:
     """The report of one check.  An exact check passes on equal sides, with
-    the shared zero residual; only a failing one pays for the subtraction."""
+    the shared zero residual; only a failing one pays for the subtraction.
+    A float check raises ValueError on a tolerance that is not finite and
+    positive, and when it fails on a side that overflowed a double (such a
+    side never passes, so a passing check skips the look)."""
     if lhs.mode == EXACT:
         if lhs == rhs:
             return IdentityReport(identity, params, lhs, rhs, _EXACT_ZERO, EXACT, EXACT_PASS)
         return IdentityReport(identity, params, lhs, rhs, lhs - rhs, EXACT, FAIL)
     tol = DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
-    verdict = WITHIN_TOLERANCE if relative_residual(lhs, rhs) <= tol else FAIL
-    return IdentityReport(identity, params, lhs, rhs, lhs - rhs, lhs.mode, verdict)
+    if not 0 < tol < math.inf:
+        raise ValueError("float mode needs a finite positive tolerance")
+    if relative_residual(lhs, rhs) <= tol:
+        return IdentityReport(identity, params, lhs, rhs, lhs - rhs, FLOAT, WITHIN_TOLERANCE)
+    if not all(map(math.isfinite, (lhs.re, lhs.im, rhs.re, rhs.im))):
+        point = ", ".join(f"{k}={v}" for k, v in params.items())
+        raise ValueError(f"{identity} check at {point} overflows a double; use --mode exact")
+    return IdentityReport(identity, params, lhs, rhs, lhs - rhs, FLOAT, FAIL)
 
 
 # ---------------------------------------------------------------------------

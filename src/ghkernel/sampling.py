@@ -7,7 +7,9 @@ call: its blocks lie one after another in the stream, each half of a
 block (cosines, then sines) has its own generators, jumped once to the
 block's start, and one loop reads them in bounded chunks of rows.  So a
 sampler's memory is the result vector plus a fixed budget of
-temporaries, whatever the count and the dimension.  The matrix trace
+temporaries, whatever the count, while a row draws at most
+`_CHUNK_NORMALS` normals; a wider row is a chunk of its own, and each of
+its temporaries takes 8 bytes per normal.  The matrix trace
 samplers are the inner-product ones on the flattened matrices at p = 1.
 
 Moments to order K must match within z combined standard errors (zero for
@@ -57,8 +59,8 @@ class RngStream(Record):
 
 
 # Normals a sampler draws per chunk of rows, summed over its blocks.  It
-# bounds the temporaries whatever the row width; the samples do not
-# depend on it.
+# bounds the temporaries for rows of up to this many normals (a wider row
+# is one chunk); the samples do not depend on it.
 _CHUNK_NORMALS = 1 << 16
 
 
@@ -322,11 +324,23 @@ class MomentVerdict(Record):
     passed: bool
 
 
+def _require_z(z: float) -> None:
+    if not 0 < z < math.inf:
+        raise ValueError("the z threshold must be finite and positive")
+
+
 def _verdict(
     order: int, lhs: float, rhs: float, se_lhs: float, se_rhs: float, z: float
 ) -> MomentVerdict:
     """The pass rule of both gates: |lhs - rhs| <= z sqrt(se_lhs^2 + se_rhs^2),
-    or within the rounding floor of order `order` if that is wider."""
+    or within the rounding floor of order `order` if that is wider.  A moment
+    or standard error that overflowed a double decides nothing: ValueError."""
+    if not all(map(math.isfinite, (lhs, rhs, se_lhs, se_rhs))):
+        if order == 1:
+            raise ValueError(
+                "the samples overflow a double at order 1; no --order helps, scale the inputs down"
+            )
+        raise ValueError(f"sample statistics overflow a double from order {order}; lower --order")
     error = math.hypot(se_lhs, se_rhs)
     floor = _ROUNDING_FLOOR * order * max(abs(lhs), abs(rhs))
     tol = max(z * error, floor)
@@ -342,6 +356,7 @@ def moment_match(
     z: float = DEFAULT_Z,
 ) -> tuple[MomentVerdict, ...]:
     """Per-order verdicts: |m_k(a) - m_k(b)| <= z sqrt(se_a^2 + se_b^2)."""
+    _require_z(z)
     if a.order() < order or b.order() < order:
         raise ValueError("stats were not collected to the requested order")
     return tuple(
@@ -356,6 +371,7 @@ def moment_match_exact(
     z: float = DEFAULT_Z,
 ) -> tuple[MomentVerdict, ...]:
     """Empirical moments against exact targets (zero error on the target side)."""
+    _require_z(z)
     if max(expected, default=0) > stats.order():
         raise ValueError("stats were not collected to the requested order")
     return tuple(

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +63,16 @@ def test_eval_float_mode(capsys):
                        "--mode", "float")
     assert code == 0
     assert out.strip() == "0.75"
+
+
+def test_eval_float_mode_high_degree(capsys):
+    """The coefficients m!/(k!(m-2k)!) of degree 300 overflow a double;
+    the value does not."""
+    code, out, _ = run(capsys, "eval", "--m", "300", "--x", "1", "--p", "1e-5",
+                       "--mode", "float")
+    assert code == 0
+    _, exact_out, _ = run(capsys, "eval", "--m", "300", "--x", "1", "--p", "1/100000")
+    assert float(out) == pytest.approx(float(Fraction(exact_out.strip())), rel=1e-12)
 
 
 def test_eval_malformed_numeral_exits_2(capsys):

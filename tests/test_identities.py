@@ -31,7 +31,7 @@ from ghkernel import (
     polarization_pair,
     rotation_sumrule,
 )
-from ghkernel.identities import graczyk_reports, mat_flatten, relative_residual
+from ghkernel.identities import graczyk_reports, make_report, mat_flatten, relative_residual
 
 
 def exact_vec(*values):
@@ -449,6 +449,22 @@ def test_float_mode_reports_within_tolerance():
     assert report.mode == FLOAT
     assert report.verdict == "within-tolerance"
     assert relative_residual(report.lhs, report.rhs) < 1e-12
+
+
+def test_float_overflow_fails_no_true_identity():
+    """At 1e200 the float sides are inf and nan on a true identity: the
+    check decides nothing, so it raises instead of reporting a failure."""
+    point = (flt(1e200), flt(1))
+    with pytest.raises(ValueError, match="graczyk check at M=1, .* overflows a double"):
+        graczyk_reports([1], point, point, (flt(1),))
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1.0])
+def test_float_reports_need_a_finite_positive_tolerance(tolerance):
+    with pytest.raises(ValueError, match="finite positive tolerance"):
+        make_report("x", {}, flt(1), flt(2), tolerance=tolerance)
+    with pytest.raises(ValueError, match="finite positive tolerance"):
+        make_report("x", {}, flt(1), flt(1), tolerance=tolerance)
 
 
 def test_float_rotation_and_factorization():

@@ -169,6 +169,39 @@ def test_moment_match_order_validation():
         moment_match(stats, stats, order=4)
 
 
+def test_moment_match_overflowed_statistics_raise():
+    """From order 3 the standard errors of these samples overflow a double:
+    an infinite tolerance would pass moments 8.75e180 and 3.00e183."""
+    a = np.array([1e60, 2e60, -1e60, 3e60])
+    lhs, rhs = collect_stats(a, 6), collect_stats(7 * a, 6)
+    assert [v.passed for v in moment_match(lhs, rhs, 2, 5.0)] == [True, True]
+    with pytest.raises(ValueError, match="overflow a double from order 3; lower --order"):
+        moment_match(lhs, rhs, 6, 5.0)
+
+
+def test_overflowed_samples_raise_at_order_one():
+    stats = collect_stats(np.array([1e308, 1e308, -1e308]), 1)
+    with pytest.raises(ValueError, match="overflow a double at order 1; no --order helps"):
+        moment_match(stats, stats, 1)
+
+
+def test_moment_match_exact_infinite_error_raises():
+    stats = sampling.SampleStats(10, (1.0, 2.0), (0.1, math.inf))
+    assert moment_match_exact(stats, {1: 1.0})[0].passed
+    with pytest.raises(ValueError, match="from order 2"):
+        moment_match_exact(stats, {1: 1.0, 2: 2.0})
+
+
+@pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
+def test_moment_gates_need_a_finite_positive_z(z):
+    a = collect_stats(sample_gaussian(RngStream(1, 0), 1000))
+    b = collect_stats(sample_gaussian(RngStream(2, 0), 1000) + 50.0)
+    with pytest.raises(ValueError, match="z threshold must be finite and positive"):
+        moment_match(a, b, 2, z)
+    with pytest.raises(ValueError, match="z threshold must be finite and positive"):
+        moment_match_exact(a, {1: 0.0}, z)
+
+
 def test_matrix_trace_samples_mean_and_match():
     xm = [[3.0, 0.0], [0.0, 0.0]]
     ym = [[0.0, 4.0], [0.0, 0.0]]
