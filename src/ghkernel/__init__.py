@@ -6,7 +6,7 @@ its algebraic sum rules with zero residual in exact mode, and tests the
 associated stochastic representations by seeded moment matching.
 """
 
-__version__ = "0.4.1"
+__version__ = "0.5.0"
 
 import importlib
 from types import ModuleType as _ModuleType

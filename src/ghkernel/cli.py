@@ -223,6 +223,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         # The recurrence row every sum rule reads: in float mode it never
         # turns a coefficient m!/(k!(m-2k)!) into a double, which overflows.
         result = gh_eval_recurrence(args.m, x, p)
+    if mode == FLOAT and not (math.isfinite(result.re) and math.isfinite(result.im)):
+        raise ValueError("the value overflows a double; use --mode exact")
     print(format_scalar(result))
     return 0
 

@@ -1,15 +1,16 @@
 """Seeded Monte Carlo checks for the equality-in-distribution claims.
 
-Normal variates come from the Box-Muller transform over PCG64 uniforms, a
-fixed and documented layout, so a given (seed, stream_id, count) always
-reproduces the identical sample sequence.  Every sampler is one `_draw`
-call: its blocks lie one after another in the stream, each half of a
-block (cosines, then sines) has its own generators, jumped once to the
-block's start, and one loop reads them in bounded chunks of rows.  So a
-sampler's memory is the result vector plus a fixed budget of
-temporaries, whatever the count, while a row draws at most
-`_CHUNK_NORMALS` normals; a wider row is a chunk of its own, and each of
-its temporaries takes 8 bytes per normal.  The matrix trace
+Normal variates are numpy's ziggurat `Generator.standard_normal` over
+PCG64, with one generator per block: block b of stream (seed, stream_id)
+reads the child of `SeedSequence(entropy=seed, spawn_key=(stream_id,))`
+whose spawn key is (stream_id, b).  So a given (seed, stream_id, count)
+always reproduces the identical sample sequence.  Every sampler is one
+`_draw` call, and one loop reads its blocks in bounded chunks of rows;
+consecutive `standard_normal` calls continue one sequence, so the samples
+do not depend on the chunk size.  A sampler's memory is the result vector
+plus a fixed budget of temporaries, whatever the count, while a row draws
+at most `_CHUNK_NORMALS` normals; a wider row is a chunk of its own, and
+each of its temporaries takes 8 bytes per normal.  The matrix trace
 samplers are the inner-product ones on the flattened matrices at p = 1.
 
 Moments to order K must match within z combined standard errors (zero for
@@ -45,43 +46,18 @@ class RngStream(Record):
         _set(self, "seed", seed)
         _set(self, "stream_id", stream_id)
 
-    def generator(self, offset: int = 0) -> np.random.Generator:
-        """The stream's generator, advanced past its first `offset` outputs.
-
-        Each call to `random` takes exactly one 64-bit output per double,
-        so `generator(k).random(m)` is the slice [k, k + m) of the
-        undivided stream.
-        """
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        bits = np.random.PCG64(seq)
-        bits.advance(offset)
-        return np.random.Generator(bits)
+    def block(self, index: int) -> np.random.Generator:
+        """The generator of block `index`: the child of the stream's
+        `SeedSequence(entropy=seed, spawn_key=(stream_id,))` with spawn
+        key (stream_id, index)."""
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id, index))
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 # Normals a sampler draws per chunk of rows, summed over its blocks.  It
 # bounds the temporaries for rows of up to this many normals (a wider row
 # is one chunk); the samples do not depend on it.
 _CHUNK_NORMALS = 1 << 16
-
-
-class _Half:
-    """The cosines (or sines) of the next `left` pairs of a Box-Muller block.
-
-    A block of `size` normals has pairs = (size + 1) // 2 and its uniforms
-    start at stream output `offset`: U1 of pair j is output offset + j and
-    U2 is output offset + pairs + j.  Its normals are the cosines of all
-    pairs, then the sines of the first size - pairs.
-    """
-
-    __slots__ = ("u1", "u2", "left", "trig")
-
-    def __init__(
-        self, stream: RngStream, offset: int, pairs: int, left: int, trig: np.ufunc
-    ) -> None:
-        self.u1 = stream.generator(offset)
-        self.u2 = stream.generator(offset + pairs)
-        self.left = left
-        self.trig = trig
 
 
 def _row_chunks(count: int, width: int) -> Iterator[tuple[int, int]]:
@@ -91,20 +67,15 @@ def _row_chunks(count: int, width: int) -> Iterator[tuple[int, int]]:
     return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
-def _box_muller(block: list[_Half], count: int) -> np.ndarray:
-    """The next `count` normals of `block`, bit for bit as if drawn whole:
-    what is left of its cosine half, then of its sine half."""
-    parts = []
-    for half in block:
-        step = min(count, half.left)
-        if not step:
-            continue
-        half.left -= step
-        count -= step
-        # U1 is shifted to (0, 1] so the log never sees zero.
-        radius = np.sqrt(-2.0 * np.log(1.0 - half.u1.random(step)))
-        parts.append(radius * half.trig(2.0 * np.pi * half.u2.random(step)))
-    return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0), *parts])
+def _box_muller(generator: np.random.Generator, count: int) -> np.ndarray:
+    """The next `count` standard normals of `generator`.
+
+    No Box-Muller transform runs here; the name is the one
+    `bench/tracing.py` wraps, counting the second argument as normals
+    drawn, and `_draw` calls it through this module global so the wrapper
+    sees every draw.
+    """
+    return generator.standard_normal(count)
 
 
 def _draw(
@@ -112,25 +83,19 @@ def _draw(
 ) -> np.ndarray:
     """`combine(*rows)` for `count` draws, one value each.
 
-    One block of `count` rows per width, in draw order, each taking
-    2 * pairs outputs of the stream after the blocks before it.  The rows
-    come in chunks of at most `_CHUNK_NORMALS` normals over all blocks;
-    `combine` gets each block's chunk as a (rows, width) array.
+    One block of `count` rows per width, block b read from
+    `stream.block(b)`.  The rows come in chunks of at most
+    `_CHUNK_NORMALS` normals over all blocks; `combine` gets each block's
+    chunk as a (rows, width) array.
     """
-    blocks = []
-    offset = 0
-    for width in widths:
-        pairs = (count * width + 1) // 2
-        halves = ((pairs, np.cos), (count * width - pairs, np.sin))
-        blocks.append([_Half(stream, offset, pairs, left, trig) for left, trig in halves])
-        offset += 2 * pairs
+    blocks = [stream.block(b) for b in range(len(widths))]
     out = np.empty(count)
     # Inputs too large for a double give silent inf or nan samples, which
     # the caller's statistics check reports.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _row_chunks(count, sum(widths)):
             rows = [
-                _box_muller(b, (hi - lo) * w).reshape(hi - lo, w) for b, w in zip(blocks, widths)
+                _box_muller(g, (hi - lo) * w).reshape(hi - lo, w) for g, w in zip(blocks, widths)
             ]
             out[lo:hi] = combine(*rows)
     return out
@@ -208,9 +173,9 @@ def inner_product_rhs_samples(
 ) -> np.ndarray:
     """Samples of (x + sqrt(p) N1)(y + sqrt(p) M1) + p Z_{n-1} N.
 
-    Draw order per stream: N1 block, M1 block, chi block, N block; the four
-    sources are independent.  At n = 1 the chi block has width 0, takes no
-    outputs and gives Z = 0.
+    Blocks per stream, in order: N1, M1, chi, N; the four sources are
+    independent.  At n = 1 the chi block has width 0, draws nothing and
+    gives Z = 0.
     """
     if p < 0:
         raise ValueError("sampling needs p >= 0 (real sqrt(p))")

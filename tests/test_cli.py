@@ -75,6 +75,29 @@ def test_eval_float_mode_high_degree(capsys):
     assert float(out) == pytest.approx(float(Fraction(exact_out.strip())), rel=1e-12)
 
 
+def test_eval_hermite_float_mode_high_degree(capsys):
+    """The coefficients n!/(k!(n-2k)!) of degree 268 overflow a double;
+    H_268(1) does not."""
+    code, out, _ = run(capsys, "eval", "--hermite", "--n", "268", "--x", "1", "--mode", "float")
+    assert code == 0
+    _, exact_out, _ = run(capsys, "eval", "--hermite", "--n", "268", "--x", "1")
+    assert float(out) == pytest.approx(float(Fraction(exact_out.strip())), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--hermite", "--n", "300", "--x", "1"), ("--m", "400", "--x", "1", "--p", "1")],
+    ids=["hermite", "gould-hopper"],
+)
+def test_eval_float_overflow_exits_2(capsys, argv):
+    """|H_300(1)| is about 1e351: a float value that overflowed is refused,
+    not printed as nan."""
+    code, out, err = run(capsys, "eval", *argv, "--mode", "float")
+    assert code == 2
+    assert out == ""
+    assert "overflows a double; use --mode exact" in err
+
+
 def test_eval_malformed_numeral_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--m", "2", "--x", "bogus", "--p", "1")
     assert code == 2
@@ -377,13 +400,22 @@ def test_sample_csv_output(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("order", ["120", "200"])
 def test_sample_overflowed_statistics_exit_2(capsys, order):
-    """From order 89 on, x^k overflows a double at these draws: no verdict
-    may come from infinite or NaN statistics."""
+    """Past some order, x^k overflows a double at these draws: no verdict
+    may come from infinite or NaN statistics.  The first such order is
+    read from the same draws, taken by direct calls."""
+    sides = [collect_stats(s, int(order)) for s in _serial_sides("inner-product", 1, 1000)]
+    first = min(
+        k + 1
+        for stats in sides
+        for k in range(int(order))
+        if not (math.isfinite(stats.moments[k]) and math.isfinite(stats.std_errors[k]))
+    )
+    assert first > 1
     code, out, err = run(capsys, "sample", "inner-product", "--order", order,
                          "--count", "1000", "--seed", "1")
     assert code == 2
     assert out == ""
-    assert "overflow a double from order 89" in err
+    assert f"overflow a double from order {first}" in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

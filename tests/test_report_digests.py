@@ -21,25 +21,25 @@ from ghkernel.cli import main
 from ghkernel.sweeps import SWEEPS, grid_description
 
 SWEEP_DIGESTS = {
-    ("graczyk", "exact"): "a35ccd1c6272664fcd8130a5bfcb59451a9bf9d8d775c6a39704f90c5cdb2581",
-    ("rotation", "exact"): "8aaf6d748b42e44b8fa97c8c8d4eb8a1f198603e1bb384c8e6500290d35134e3",
-    ("factorization", "exact"): "d4cfd933495813cfa018076fc705d03c24e205abf8a3fa1ca739f027194668a2",
-    ("inner-product-moments", "exact"): "88db07d49b0e985d46e34cb0cb82294247d0f4bf9c9f540aa3e13b281b5a87ea",
-    ("matrix", "exact"): "b6382bfd497751988634d4bb8526703e06921ffc89fa240ff5175a2a776e0733",
-    ("graczyk", "float"): "a1c997ec06c31c148c1328d712ad32a8f41de6aa38cba428baa5e291a951b5dd",
-    ("rotation", "float"): "54929d9c2474ef0e7b276d6731c24f45e20ed4a32c9f84134049c10517fc6601",
-    ("factorization", "float"): "6500cbadc3f59498bf81a942a2058946f136f92335c95e31c785c0a49c3493cd",
-    ("inner-product-moments", "float"): "75f813956ef33a9e40f5751a6c5f62ec9633388fb599d1bd1d41a6e076696e99",
-    ("matrix", "float"): "5090ef607cb94d97a1c5d543002fb19a18f96a427fe3a2fceff93612f9cdf50e",
+    ("graczyk", "exact"): "01dab28c7156934551d8182387540078b42dcc7cf0c298c89165b61fbb0aa86c",
+    ("rotation", "exact"): "da53121e4dfce52d7a5e769b4f042feb81895ef13feebd4ba21c0b978830bd67",
+    ("factorization", "exact"): "46658cd44435a6cd8eda1d0a8c185b2e6c3afe23ea7d2f22bcdd883a38bd6060",
+    ("inner-product-moments", "exact"): "6bcc08108ddf69cf9f983b513eac29e0e533461bfb832480e76555577c154ccf",
+    ("matrix", "exact"): "98e80b815b60d1dad3e0962ea4dd4267784941c7539b6f33e6cf83ca0b849646",
+    ("graczyk", "float"): "5268f91089972489257000c65d51e204027e95585d9e337620c29f42f2ef4444",
+    ("rotation", "float"): "9acc1ca90075947bda5717fd798105d6cc39508b5cdb1994fdca866b427342ea",
+    ("factorization", "float"): "098b9d2efa7d5e46d39c52433adf4a67291f1f6e4e63a8ecf95a54b9739e6b1f",
+    ("inner-product-moments", "float"): "c50ab4c5d4a78476bf4535963aa7f269270b6db5bd6cb8872804fe58f4d63da7",
+    ("matrix", "float"): "947161477ddc06f936461bb4bc0e5e86b976b2f0aea9ff195187e74b2e066f3e",
 }
 
 POINT_DIGESTS = {
     ("--xv", "3,4", "--yv", "3,4", "--p", "1"):
-        "02654a116bda4e0a154b039e717d47b0ba2b5d5763b89e98efb1bcdd131944f2",
+        "754e2a86a69d66db7d88e6d38a617b535272870d3d03ac6aaa143dddc622795a",
     ("--xv", "3,4", "--yv", "1,-2", "--mode", "float"):
-        "841eb7fc826422798fc68c78f1f0df9270f48919dfa8171bc97aca8476a2a77e",
+        "424b12873de5e6bd1a17cdf03bed21cedebd8ee4d752e6446d63849c294c2595",
     ("--xv", "3,4", "--yv", "3,4"):
-        "7a3f99eae0b7a8d91141f0c1c794d032de351df3ac351744f3586486f21d3a25",
+        "deb439918640eb89e368cabb31232fa00f675d36ec53e10b24c89f4789de7654",
 }
 
 # An odd count large enough that every target draws its samples in
@@ -49,16 +49,16 @@ SAMPLE_SEED = "7"
 
 SAMPLE_DIGESTS = {
     ("inner-product", "--ks"):
-        "33b28141b7c60def9a1d4fe1e562327d72a81701d4a90fbd8a81d8491e993d77",
+        "ee051ee5bc2fdcda7f7995b1af43fedc76ea2f037b376928d422cddd07579218",
     ("matrix",):
-        "71ae0df72700c883bf6e9cbc16ff7e0390e323cbe15d6298b22c41595f3613f2",
+        "5a21118c339cfd91fdfbebc0d5d71c4ad8913c17e892a093ee377ce87857a569",
     ("chi-merge",):
-        "966023e344bfcec17566f945b4ba4f80ef203159119b9efcac3a55d16fe809b6",
+        "98cfebc89ee6afca03af013bd50da737d495c1b0a57c9555d6e4eca68f13844a",
     # n = 1: the right-hand side draws no chi block.
     ("inner-product", "--xv", "2", "--yv", "5", "--format", "csv"):
-        "43eedc9bd051ce733b37ae81204eedb234e71708b8d0ff29d947b422ac33a034",
+        "651741104643dbdf019aaa97763a8facdf3d19471f19764f9e7abdb7313b15d9",
     ("matrix", "--xm", "1,2,3;4,5,6", "--ym", "0,1,0;1,0,1"):
-        "fc62d2737441e29caf114d3c41f702c801d6feab83abc4496c69d528aabb235e",
+        "61d8b38518d72de78b62a589016b38719866feb979d0aa64805cc0f611b37985",
 }
 
 REPORT_COUNTS = {

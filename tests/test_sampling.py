@@ -386,76 +386,60 @@ def test_mutation_moments_without_half_p_are_caught():
 
 # -- chunked drawing ------------------------------------------------------
 #
-# The samplers draw in chunks of rows.  The references below materialise
-# every block whole, in the one draw layout, and the chunked samplers must
-# reproduce them bit for bit.
+# The samplers draw in chunks of rows.  The references below draw every
+# block whole, from its own child of the stream's SeedSequence, and the
+# chunked samplers must reproduce them bit for bit.
 
 
-def _reference_generator(stream):
-    seq = np.random.SeedSequence(entropy=stream.seed, spawn_key=(stream.stream_id,))
-    return np.random.Generator(np.random.PCG64(seq))
+def _reference_blocks(stream, count, widths):
+    """Block b: `count` rows of `widths[b]` normals from child b of the
+    stream's SeedSequence, spawned by numpy."""
+    root = np.random.SeedSequence(entropy=stream.seed, spawn_key=(stream.stream_id,))
+    return [
+        np.random.Generator(np.random.PCG64(child)).standard_normal((count, width))
+        for child, width in zip(root.spawn(len(widths)), widths)
+    ]
 
 
-def _reference_box_muller(gen, count):
-    pairs = (count + 1) // 2
-    u1 = 1.0 - gen.random(pairs)
-    u2 = gen.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return out[:count]
-
-
-def _reference_squared_norms(gen, count, k):
-    normals = _reference_box_muller(gen, count * k).reshape(count, k)
+def _reference_squared_norms(normals):
     return (normals * normals).sum(axis=1)
 
 
 def _reference_gaussian(stream, count):
-    return _reference_box_muller(_reference_generator(stream), count)
+    (normals,) = _reference_blocks(stream, count, (1,))
+    return normals[:, 0]
 
 
 def _reference_chi(stream, k, count):
-    return np.sqrt(_reference_squared_norms(_reference_generator(stream), count, k))
+    (normals,) = _reference_blocks(stream, count, (k,))
+    return np.sqrt(_reference_squared_norms(normals))
 
 
 def _reference_chi_merge(stream, a, b, count):
-    gen = _reference_generator(stream)
-    first = _reference_squared_norms(gen, count, a)
-    second = _reference_squared_norms(gen, count, b)
-    return np.sqrt(first + second)
+    first, second = _reference_blocks(stream, count, (a, b))
+    return np.sqrt(_reference_squared_norms(first) + _reference_squared_norms(second))
 
 
 def _reference_lhs(xv, yv, p, stream, count):
     x, y = np.asarray(xv, dtype=float), np.asarray(yv, dtype=float)
-    gen = _reference_generator(stream)
+    noise_x, noise_y = _reference_blocks(stream, count, (x.size, x.size))
     root = math.sqrt(p)
-    noise_x = _reference_box_muller(gen, count * x.size).reshape(count, x.size)
-    noise_y = _reference_box_muller(gen, count * x.size).reshape(count, x.size)
     return ((x + root * noise_x) * (y + root * noise_y)).sum(axis=1)
 
 
 def _reference_rhs(pair, n, p, stream, count):
     x, y = float(pair.x.re), float(pair.y.re)
-    gen = _reference_generator(stream)
+    n1, m1, chi, final = _reference_blocks(stream, count, (1, 1, n - 1, 1))
+    z = np.sqrt(_reference_squared_norms(chi))
     root = math.sqrt(p)
-    n1 = _reference_box_muller(gen, count)
-    m1 = _reference_box_muller(gen, count)
-    if n > 1:
-        z = np.sqrt(_reference_squared_norms(gen, count, n - 1))
-    else:
-        z = np.zeros(count)
-    final = _reference_box_muller(gen, count)
-    return (x + root * n1) * (y + root * m1) + p * z * final
+    return (x + root * n1[:, 0]) * (y + root * m1[:, 0]) + p * z * final[:, 0]
 
 
 def _reference_matrix(xm, ym, stream, count):
     x, y = np.asarray(xm, dtype=float), np.asarray(ym, dtype=float)
-    gen = _reference_generator(stream)
+    noise_x, noise_y = _reference_blocks(stream, count, (x.size, x.size))
     shape = (count, *x.shape)
-    noise_x = _reference_box_muller(gen, count * x.size).reshape(shape)
-    noise_y = _reference_box_muller(gen, count * x.size).reshape(shape)
-    return ((x + noise_x) * (y + noise_y)).sum(axis=(1, 2))
+    return ((x + noise_x.reshape(shape)) * (y + noise_y.reshape(shape))).sum(axis=(1, 2))
 
 
 PAIR_3 = polarization_pair((flt(3), flt(4), flt(1)), (flt(1), flt(-2), flt(2)))
@@ -523,16 +507,22 @@ def test_chunked_samplers_match_materialised_draws(monkeypatch, budget, name):
         assert got.tobytes() == want.tobytes(), (name, count)
 
 
-def test_advance_addresses_the_undivided_stream():
-    """The chunks rest on this: advance(k), then random(m), reads [k, k + m)."""
-    seq = np.random.SeedSequence(entropy=5, spawn_key=(1,))
-    whole = np.random.Generator(np.random.PCG64(seq)).random(4096)
-    stream = RngStream(5, 1)
-    for k, m in ((0, 7), (1, 1), (333, 1000), (4095, 1)):
-        bits = np.random.PCG64(seq)
-        bits.advance(k)
-        assert np.random.Generator(bits).random(m).tobytes() == whole[k:k + m].tobytes()
-        assert stream.generator(k).random(m).tobytes() == whole[k:k + m].tobytes()
+def test_sides_and_blocks_read_distinct_spawn_keys(monkeypatch):
+    """The two sides of a command are streams 0 and 1 of one seed, and a
+    sampler's blocks are children 0, 1, ... of its stream: each block
+    reads its own spawn key and draws its own normals."""
+    first = {}
+
+    def spy(generator, count):
+        normals = generator.standard_normal(count)
+        first.setdefault(generator.bit_generator.seed_seq.spawn_key, normals[:10])
+        return normals
+
+    monkeypatch.setattr(sampling, "_box_muller", spy)
+    inner_product_lhs_samples([3, 4, 1], [1, -2, 2], 0.7, RngStream(5, 0), 10)
+    inner_product_rhs_samples(PAIR_3, 3, 0.7, RngStream(5, 1), 10)
+    assert sorted(first) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3)]
+    assert len({normals.tobytes() for normals in first.values()}) == 6
 
 
 def test_chi_sampling_memory_does_not_grow_with_dimension():
