@@ -1,8 +1,8 @@
 """Golden reports: every byte of the verify and sample reports is pinned.
 
 The SHA-256 digests below are of the report files `ghkernel verify` writes
-on the built-in grids and at three explicit points, and of five seeded
-`ghkernel sample` reports.  Any change to the mathematics, the enumeration
+on the built-in grids and at three explicit points, of four float reports
+with failing rows, and of five seeded `ghkernel sample` reports.  Any change to the mathematics, the enumeration
 order, the draw layout or the serialization changes a digest.  The same
 exact reports then show that each `grid_description` tells the truth about
 the grid its sweep enumerates.
@@ -42,6 +42,19 @@ POINT_DIGESTS = {
         "deb439918640eb89e368cabb31232fa00f675d36ec53e10b24c89f4789de7654",
 }
 
+# Float CSV reports at a tolerance no nonzero residual meets, so passing and
+# failing rows mix: 2 of 1,365, 2,039 of 3,108, 606 of 900 and 30 of 35
+# rows fail.  (The moment sweeps are left out: every float residual there
+# is exactly 0, so they still pass.)
+FAILING_TOLERANCE = "1e-300"
+FAILING_DIGESTS = {
+    ("graczyk",): "cd90c34ef77ec48ba3eef44e1ec8ffc1395065456020f916b390e8d406e40bcc",
+    ("rotation",): "d5081fc7d7727140af4faf28ed219c9615e51b0926688935646efd9e4924f118",
+    ("factorization",): "925505117e32ec52bd7ab9de8a8324ddf31fb2ab1e3e8d064017ecc256a39f94",
+    ("graczyk", "--xv", "3,4", "--yv", "1,-2"):
+        "c5565c5c33ff80be0a0507e18f2a4b0c9c3c2393b9f6643ed3d43633e5e7896e",
+}
+
 # An odd count large enough that every target draws its samples in
 # several chunks.
 SAMPLE_COUNT = "100001"
@@ -75,9 +88,9 @@ RERECORD = (
 )
 
 
-def _verify_sha256(tmp_dir, name: str, *argv: str) -> str:
+def _verify_sha256(tmp_dir, name: str, *argv: str, exit_code: int = 0) -> str:
     out = tmp_dir / name
-    assert main(["verify", *argv, "--out", str(out)]) == 0
+    assert main(["verify", *argv, "--out", str(out)]) == exit_code
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -110,6 +123,16 @@ def test_sweep_report_bytes_are_pinned(sweep_outputs, key):
 def test_explicit_point_report_bytes_are_pinned(tmp_path, argv):
     digest = _verify_sha256(tmp_path, "point.json", "graczyk", *argv)
     assert digest == POINT_DIGESTS[argv], RERECORD
+
+
+@pytest.mark.parametrize("argv", FAILING_DIGESTS, ids=" ".join)
+def test_failing_report_bytes_are_pinned(tmp_path, argv):
+    """Each of these runs exits 1, and its failing rows are pinned too."""
+    digest = _verify_sha256(
+        tmp_path, "failing.csv", *argv, "--mode", "float", "--tolerance", FAILING_TOLERANCE,
+        "--format", "csv", exit_code=1,
+    )
+    assert digest == FAILING_DIGESTS[argv], RERECORD
 
 
 @pytest.mark.parametrize("argv", SAMPLE_DIGESTS, ids=" ".join)
