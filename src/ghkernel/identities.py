@@ -11,18 +11,18 @@ the inputs are scaled to a common denominator, so every term is a Gaussian
 integer accumulated as an int pair (see ``ghpoly.gaussian_row``); in float
 mode the scale is 1 and the pairs hold doubles.  The two sides of every rule
 share that denominator, so an exact verdict compares the sides' integers:
-equal pairs become one Scalar, both sides' object (``_side_scalars``).  Either
-way a side becomes a Scalar once, by a single division at its end.
+equal pairs become one Scalar, both sides' object.  Either way a side becomes
+a Scalar once, by a single division at its end.
 
 Each rule has one ``*_reports`` function that checks one grid object and
 everything that shares its tables: a vector pair at every (M, p), a rotation
-at every degree and row, a (c, s) at every point and degree split.  It
-builds what depends only on that object (the polarization pair, the Graczyk
-folds per p, the rotation's integers and coordinate rows, the connection
-coefficients) once, at the top degree, and reads every check from it.  The
-single-check function is that function called with one degree (and one
-point).  The Graczyk rule and the two moment identities, whose moments are
-M! times the Graczyk sides at p/2, share one report loop.
+at every degree and row, a (c, s) at every point and degree split.  It builds
+what depends only on that object (the polarization pair, the Graczyk folds per
+p, the rotation's integers and coordinate rows, the connection coefficients)
+once, at the top degree, and reads every check's sides from it as int pairs,
+which ``_reports`` turns into reports.  The single-check function is that
+function called with one degree (and one point).  The Graczyk rule and the two
+moment identities (M! times the Graczyk sides at p/2) share one check builder.
 
 The multinomial sums over |m| = M (the Graczyk left side, the rotation
 rule's right side) are not enumerated: since sum_m g_m(x, p) t^m / m! =
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .ghpoly import (
@@ -264,16 +264,22 @@ def _binomial_fold(top: int, tables: Sequence[Sequence[GaussianInt]]) -> list[Ga
     return acc
 
 
-def _side_scalars(
-    lhs: GaussianInt, rhs: GaussianInt, den: int, mode: str
-) -> tuple[Scalar, Scalar]:
-    """Both sides over their shared denominator.  Equal exact pairs make one
-    Scalar, both sides' object; float sides never share one, since 0.0 ==
-    -0.0 while the two print differently."""
-    if mode == EXACT and lhs == rhs:
-        side = from_gaussian(*lhs, den, EXACT)
-        return side, side
-    return from_gaussian(*lhs, den, mode), from_gaussian(*rhs, den, mode)
+def _reports(
+    identity: str, mode: str, tolerance: float | None, checks: Iterable[tuple]
+) -> list[IdentityReport]:
+    """The report of each check (params, den, lhs, rhs, unit), in order: each
+    side is an int pair (float mode: doubles) over den, times unit after the
+    division unless unit is None.  Equal exact pairs make one Scalar, both
+    sides' object; float sides never share one, since -0.0 == 0.0 prints "-0.0"."""
+    reports = []
+    for params, den, lhs_pair, rhs_pair, unit in checks:
+        lhs = from_gaussian(*lhs_pair, den, mode)
+        rhs = lhs if mode == EXACT and lhs_pair == rhs_pair else from_gaussian(*rhs_pair, den, mode)
+        if unit is not None:
+            scaled = unit * lhs
+            lhs, rhs = scaled, (scaled if rhs is lhs else unit * rhs)
+        reports.append(make_report(identity, params, lhs, rhs, tolerance))
+    return reports
 
 
 def _top_degree(degrees: Sequence[int]) -> int:
@@ -392,24 +398,22 @@ def graczyk_rhs(M: int, pair: PolarizationPair, n: int, p: Scalar) -> Scalar:
     return from_gaussian(*row[M], math.factorial(M) * lam ** (2 * M), p.mode)
 
 
-def _pair_rule_reports(
-    identity: str,
+def _pair_rule_checks(
     degrees: Sequence[int],
     xv: Sequence[Scalar],
     yv: Sequence[Scalar],
     pair: PolarizationPair,
     p_values: Sequence[Scalar],
     params: Callable[[int, Scalar], dict[str, str]],
-    tolerance: float | None,
     moments: bool = False,
-) -> list[IdentityReport]:
-    """The reports of a rule read off the Graczyk sides, at every (M, p), M
+) -> Iterator[tuple]:
+    """The checks of a rule read off the Graczyk sides, at every (M, p), M
     outer.  Per p, one lam clears xv, yv, the pair and p, and both sides
     are one fold each, integers over M! lam^(2M).
 
-    The moment identities read the sides at p/2: the stochastic form scales
-    its noise by sqrt(p), while the polynomial parameter enters as
-    sigma^2 = 2p.  Their moments are M! times the two Graczyk sides.
+    With ``moments`` they are the moment identities' checks, on the sides at
+    p/2 (the stochastic form scales its noise by sqrt(p), while the polynomial
+    parameter enters as sigma^2 = 2p) with M! as each check's unit.
     """
     n, top, mode = len(xv), _top_degree(degrees), pair.mode
     folds = []
@@ -419,17 +423,11 @@ def _pair_rule_reports(
         p_int = scale_to_gaussian(q, lam * lam)
         lhs_row = _graczyk_lhs_ints(top, xv, yv, lam, p_int)
         folds.append((lam * lam, lhs_row, _graczyk_rhs_ints(top, pair, n, lam, p_int)))
-    reports = []
     for M in degrees:
         m_fact = math.factorial(M)
-        unit = lift(m_fact, mode)
+        unit = lift(m_fact, mode) if moments else None
         for p, (lam_sq, lhs_row, rhs_row) in zip(p_values, folds):
-            lhs, rhs = _side_scalars(lhs_row[M], rhs_row[M], m_fact * lam_sq**M, mode)
-            if moments:
-                scaled = unit * lhs
-                lhs, rhs = scaled, (scaled if rhs is lhs else unit * rhs)
-            reports.append(make_report(identity, params(M, p), lhs, rhs, tolerance))
-    return reports
+            yield params(M, p), m_fact * lam_sq**M, lhs_row[M], rhs_row[M], unit
 
 
 def graczyk_identity(
@@ -459,10 +457,10 @@ def graczyk_reports(
         "pair_x": str(pair.x),
         "pair_y": str(pair.y),
     }
-    return _pair_rule_reports(
-        "graczyk", degrees, xv, yv, pair, p_values,
-        lambda M, p: {"M": str(M), "p": str(p), **point}, tolerance,
+    checks = _pair_rule_checks(
+        degrees, xv, yv, pair, p_values, lambda M, p: {"M": str(M), "p": str(p), **point}
     )
+    return _reports("graczyk", pair.mode, tolerance, checks)
 
 
 def inner_product_moment_identity(
@@ -491,10 +489,12 @@ def inner_product_moment_reports(
         "xv": _fmt_vector(xv),
         "yv": _fmt_vector(yv),
     }
-    return _pair_rule_reports(
-        "inner-product-moments", degrees, xv, yv, polarization_pair(xv, yv), p_values,
-        lambda M, p: {"M": str(M), "p": str(p), **point}, tolerance, moments=True,
+    pair = polarization_pair(xv, yv)
+    checks = _pair_rule_checks(
+        degrees, xv, yv, pair, p_values,
+        lambda M, p: {"M": str(M), "p": str(p), **point}, moments=True,
     )
+    return _reports("inner-product-moments", pair.mode, tolerance, checks)
 
 
 def matrix_moment_identity(
@@ -526,10 +526,11 @@ def matrix_moment_reports(
         "xm": _fmt_matrix(xm),
         "ym": _fmt_matrix(ym),
     }
-    return _pair_rule_reports(
-        "matrix", degrees, mat_flatten(xm), mat_flatten(ym), pair, (one(pair.mode),),
-        lambda M, p: {"M": str(M), **point}, tolerance, moments=True,
+    checks = _pair_rule_checks(
+        degrees, mat_flatten(xm), mat_flatten(ym), pair, (one(pair.mode),),
+        lambda M, p: {"M": str(M), **point}, moments=True,
     )
+    return _reports("matrix", pair.mode, tolerance, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +623,8 @@ def rotation_reports(
     """rotation_sumrule at every degree and row, degree outer, with the
     rows of ``_rotated_rows`` built once and each row's binomial fold built
     once, at the top degree."""
-    n = len(o)
-    if len(xv) != n or any(len(row) != n for row in o):
+    n, cols = _check_rectangular(o, "o")
+    if len(xv) != n or cols != n:
         raise ValueError("dimension mismatch")
     top = _top_degree(degrees)
     # Each term prod_j O_ij^(m_j) g_(m_j)(x_j, p) is an integer over
@@ -644,14 +645,12 @@ def rotation_reports(
         "rotation": label if label is not None else _fmt_matrix(o),
     }
     row_params = [{"n": str(n), "i": str(i), **shared} for i in range(n)]
-    reports = []
-    for m in degrees:
-        den = scale**m
-        for params_i, (lhs_row, rhs_row) in zip(row_params, sides):
-            lhs, rhs = _side_scalars(lhs_row[m], rhs_row[m], den, mode)
-            params = {"m": str(m), **params_i}
-            reports.append(make_report("rotation", params, lhs, rhs, tolerance))
-    return reports
+    checks = (
+        ({"m": str(m), **params_i}, scale**m, lhs_row[m], rhs_row[m], None)
+        for m in degrees
+        for params_i, (lhs_row, rhs_row) in zip(row_params, sides)
+    )
+    return _reports("rotation", mode, tolerance, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +664,8 @@ def coeff_C(m1: int, m2: int, r: int, c: Scalar, s: Scalar) -> Scalar:
                        c^(m2+r-2l) s^(m1-r+2l),
     with out-of-range binomials zero and the 0^0 = 1 convention.
     """
+    if m1 < 0 or m2 < 0:
+        raise ValueError("degrees must be natural numbers")
     if not (0 <= r <= m1 + m2):
         raise ValueError("r must lie in [0, m1+m2]")
     den = clearing_scale(c, s)
@@ -739,22 +740,21 @@ def factorization_reports(
         (m1, m2): [_coeff_C_gaussian(m1, m2, r, c_pows, s_pows) for r in range(m1 + m2 + 1)]
         for m1, m2 in splits
     }
-    reports = []
+    checks = []
     for x, y, p in points:
         scale, (row_u, row_v), (row_x, row_y) = _rotated_rows(top, o_pairs, (x, y), p)
         point = {"c": str(c), "s": str(s), "x": str(x), "y": str(y), "p": str(p)}
         for m1, m2 in splits:
             total = m1 + m2
-            lhs_re, lhs_im = _gmul(row_u[m1], row_v[m2])
             rhs_re = rhs_im = 0
             for r, coeff in enumerate(coeffs[m1, m2]):
                 term = _gmul(coeff, _gmul(row_x[r], row_y[total - r]))
                 rhs_re += term[0]
                 rhs_im += term[1]
-            lhs, rhs = _side_scalars((lhs_re, lhs_im), (rhs_re, rhs_im), scale**total, mode)
             params = {"m1": str(m1), "m2": str(m2), **point}
-            reports.append(make_report("factorization", params, lhs, rhs, tolerance))
-    return reports
+            lhs = _gmul(row_u[m1], row_v[m2])
+            checks.append((params, scale**total, lhs, (rhs_re, rhs_im), None))
+    return _reports("factorization", mode, tolerance, checks)
 
 
 def _fmt_vector(v: Sequence[Scalar]) -> str:

@@ -42,6 +42,7 @@ from ghkernel import (
     lift,
     mat_identity,
     mat_mul,
+    matrix_polarization,
     polarization_pair,
     rotation_sumrule,
     sweeps,
@@ -57,6 +58,7 @@ from ghkernel.identities import (
     inner_product_moment_identity,
     inner_product_moment_reports,
     make_report,
+    mat_transpose,
     matrix_moment_identity,
     matrix_moment_reports,
     rotation_reports,
@@ -591,6 +593,49 @@ def test_factorization_with_sign_flipped_expansion_fails():
                     "factorization", {}, right.lhs, flipped.rhs, MUTATION_TOLERANCE
                 )
                 assert report.verdict == FAIL
+
+
+def test_moment_identities_read_at_p_for_p_over_2_fail():
+    """The moments are M! times the Graczyk sides at p/2; a right side read
+    at p fails at every M >= 2 (M = 0 and 1 do not read p).  The matrix rule
+    reads p = 1 at n = rows * cols."""
+    for mode, passing in PASS_VERDICTS:
+        xv, yv = as_mode(NORM_PAIR, mode)
+        xm, ym = as_mode(NORM_MATRICES, mode)
+        pair, matrix_pair = polarization_pair(xv, yv), matrix_polarization(xm, ym)
+        for big_m in range(2, 7):
+            m_fact = lift(math.factorial(big_m), mode)
+            checks = [
+                (inner_product_moment_identity(big_m, xv, yv, p, MUTATION_TOLERANCE),
+                 m_fact * graczyk_rhs(big_m, pair, len(xv), p))
+                for p in as_mode((ONE, exact(q(-1, 2)), exact(q(1, 3), 1)), mode)
+            ]
+            checks.append((
+                matrix_moment_identity(big_m, xm, ym, MUTATION_TOLERANCE),
+                m_fact * graczyk_rhs(big_m, matrix_pair, 4, as_mode(ONE, mode)),
+            ))
+            for right, wrong in checks:
+                assert right.verdict == passing
+                report = make_report(right.identity, {}, right.lhs, wrong, MUTATION_TOLERANCE)
+                assert report.verdict == FAIL
+
+
+def test_rotation_with_transposed_matrix_on_one_side_fails():
+    """O's left side against O^t's right side, for a non-symmetric O: both
+    true rules pass, and the mixed pair fails at every m >= 1."""
+    o = mat_mul(complex_givens(3, 0, 1, exact(q(1, 2))), complex_givens(3, 1, 2, exact(0, q(1, 2))))
+    assert o != mat_transpose(o)
+    for mode, passing in PASS_VERDICTS:
+        xv, p = as_mode((exact(1), exact(2), exact(3)), mode), as_mode(exact(q(1, 3)), mode)
+        right, transposed = (
+            rotation_reports(range(7), as_mode(matrix, mode), xv, p, MUTATION_TOLERANCE)
+            for matrix in (o, mat_transpose(o))
+        )
+        assert len(right) == len(transposed) == 21
+        for report, other in zip(right, transposed):
+            assert report.verdict == other.verdict == passing
+            mixed = make_report("rotation", {}, report.lhs, other.rhs, MUTATION_TOLERANCE)
+            assert mixed.passed == (report.params["m"] == "0")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,13 @@ from ghkernel import (
     polarization_pair,
     rotation_sumrule,
 )
-from ghkernel.identities import graczyk_reports, make_report, mat_flatten, relative_residual
+from ghkernel.identities import (
+    graczyk_reports,
+    make_report,
+    mat_flatten,
+    relative_residual,
+    rotation_reports,
+)
 
 
 def exact_vec(*values):
@@ -76,18 +82,24 @@ def test_polarization_rejects_complex_and_mismatched_inputs():
         polarization_pair(exact_vec(1, 2), exact_vec(1,))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: graczyk_lhs(2, (), (), exact(1)),
-    lambda: polarization_pair((), ()),
-    lambda: graczyk_reports((2,), (), (), (exact(1),)),
-    lambda: inner_product_moment_identity(2, (), (), exact(1)),
-    lambda: matrix_polarization((), ()),
-    lambda: matrix_moment_identity(2, (), ()),
-    lambda: orthogonality_check(()),
+@pytest.mark.parametrize("call, message", [
+    (lambda: graczyk_lhs(2, (), (), exact(1)), "empty vectors"),
+    (lambda: polarization_pair((), ()), "empty vectors"),
+    (lambda: graczyk_reports((2,), (), (), (exact(1),)), "empty vectors"),
+    (lambda: inner_product_moment_identity(2, (), (), exact(1)), "empty vectors"),
+    (lambda: matrix_polarization((), ()), "empty matrix"),
+    (lambda: matrix_moment_identity(2, (), ()), "empty matrix"),
+    (lambda: orthogonality_check(()), "empty matrix"),
+    (lambda: rotation_reports([1], (), (), exact(1)), "empty matrix"),
+    (lambda: coeff_C(-1, 1, 0, exact(Fraction(3, 5)), exact(Fraction(4, 5))),
+     "degrees must be natural numbers"),
 ], ids=["graczyk_lhs", "polarization_pair", "graczyk_reports", "inner_product_moment_identity",
-        "matrix_polarization", "matrix_moment_identity", "orthogonality_check"])
-def test_empty_vectors_raise_value_error(call):
-    with pytest.raises(ValueError, match="empty (vectors|matrix)"):
+        "matrix_polarization", "matrix_moment_identity", "orthogonality_check",
+        "rotation_reports", "coeff_C"])
+def test_empty_vectors_raise_value_error(call, message):
+    """Empty vectors and matrices, and a negative degree, raise ValueError
+    before any side is built."""
+    with pytest.raises(ValueError, match=message):
         call()
 
 
