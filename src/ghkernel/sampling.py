@@ -298,8 +298,9 @@ def _verdict(
     order: int, lhs: float, rhs: float, se_lhs: float, se_rhs: float, z: float
 ) -> MomentVerdict:
     """The pass rule of both gates: |lhs - rhs| <= z sqrt(se_lhs^2 + se_rhs^2),
-    or within the rounding floor of order `order` if that is wider.  A moment
-    or standard error that overflowed a double decides nothing: ValueError."""
+    or within the rounding floor of order `order` if that is wider.  A moment,
+    standard error or tolerance that overflowed a double decides nothing:
+    ValueError."""
     if not all(map(math.isfinite, (lhs, rhs, se_lhs, se_rhs))):
         if order == 1:
             raise ValueError(
@@ -309,6 +310,10 @@ def _verdict(
     error = math.hypot(se_lhs, se_rhs)
     floor = _ROUNDING_FLOOR * order * max(abs(lhs), abs(rhs))
     tol = max(z * error, floor)
+    if not math.isfinite(tol):
+        raise ValueError(
+            f"z times the standard error overflows a double at order {order}; lower --z or --order"
+        )
     diff = lhs - rhs
     z_score = diff / error if error else None
     return MomentVerdict(order, lhs, rhs, diff, tol, z_score, abs(diff) <= tol)

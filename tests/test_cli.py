@@ -371,6 +371,30 @@ def test_sample_rejects_vacuous_z(capsys, z):
     assert "z threshold" in err
 
 
+def test_sample_overflowing_tolerance_exits_2(capsys):
+    """A finite --z can still overflow z times the standard error: such a
+    tolerance would pass every order, so the command exits 2."""
+    code, out, err = run(capsys, "sample", "inner-product", "--count", "100", "--z", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "z times the standard error overflows a double at order 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("chi-merge", "--ks", "--format", "csv"), "--ks applies to JSON reports only"),
+        (("matrix", "--xm", "1,2;3"), "ragged matrix"),
+    ],
+    ids=["ks-csv", "ragged-matrix"],
+)
+def test_sample_usage_error_messages(capsys, argv, message):
+    code, out, err = run(capsys, "sample", *argv, "--count", "100")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_sample_ks_diagnostic(tmp_path, capsys):
     out_file = tmp_path / "ks.json"
     code, _, _ = run(capsys, "sample", "chi-merge", "--count", "20000",

@@ -638,6 +638,49 @@ def test_rotation_with_transposed_matrix_on_one_side_fails():
             assert mixed.passed == (report.params["m"] == "0")
 
 
+def test_factorization_with_s_negated_in_coefficients_fails(monkeypatch):
+    """The connection coefficients read at -s, on the default grid: 741 of
+    the 900 checks fail, from total degree 1.  Only (c, s) = (1, 0), where
+    -s = s, cannot see it: its 90 checks pass."""
+    sweep = sweeps.SWEEPS["factorization"]
+    coefficient = identities._coeff_C_gaussian
+
+    def negated_s(m1, m2, r, c_pows, s_pows):
+        s_pows = [((-1) ** k * re, (-1) ** k * im) for k, (re, im) in enumerate(s_pows)]
+        return coefficient(m1, m2, r, c_pows, s_pows)
+
+    for mode, _ in PASS_VERDICTS:
+        assert all(report.passed for report in sweep(mode=mode, tolerance=MUTATION_TOLERANCE))
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "_coeff_C_gaussian", negated_s)
+            reports = sweep(mode=mode, tolerance=MUTATION_TOLERANCE)
+        failing = [r for r in reports if not r.passed]
+        assert (len(failing), len(reports)) == (741, 900)
+        assert min(int(r.params["m1"]) + int(r.params["m2"]) for r in failing) == 1
+        unseen = [r for r in reports if r.params["s"] in ("0", "0.0")]
+        assert len(unseen) == 90
+        assert all(r.passed for r in unseen)
+
+
+def test_matrix_rule_read_at_one_dimension_less_fails(monkeypatch):
+    """The matrix rule's right side at n = rows * cols - 1, on the default
+    grid: every check of degree M >= 2 fails, 30 of 42, since degrees 0 and
+    1 do not read the chi weight."""
+    sweep = sweeps.SWEEPS["matrix"]
+    rhs_ints = identities._graczyk_rhs_ints
+    for mode, _ in PASS_VERDICTS:
+        assert all(report.passed for report in sweep(mode=mode, tolerance=MUTATION_TOLERANCE))
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                identities, "_graczyk_rhs_ints",
+                lambda top, pair, n, lam, p_int: rhs_ints(top, pair, n - 1, lam, p_int),
+            )
+            reports = sweep(mode=mode, tolerance=MUTATION_TOLERANCE)
+        assert len(reports) == 42
+        assert [not r.passed for r in reports] == [int(r.params["M"]) >= 2 for r in reports]
+        assert sum(not r.passed for r in reports) == 30
+
+
 # ---------------------------------------------------------------------------
 # exact verdicts on the sides' integers: equal pairs share one Scalar
 

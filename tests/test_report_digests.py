@@ -5,7 +5,8 @@ on the built-in grids and at three explicit points, of four float reports
 with failing rows, and of five seeded `ghkernel sample` reports.  Any change to the mathematics, the enumeration
 order, the draw layout or the serialization changes a digest.  The same
 exact reports then show that each `grid_description` tells the truth about
-the grid its sweep enumerates.
+the grid its sweep enumerates.  Every JSON report must also parse as strict
+JSON: no `NaN` or `Infinity` token.
 """
 
 from __future__ import annotations
@@ -88,10 +89,34 @@ RERECORD = (
 )
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _strict_json(text: str):
+    """The parsed report; NaN, Infinity and -Infinity raise ValueError."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def _sha256(out, argv) -> str:
+    """Digest of a report file, which must parse as strict JSON unless it
+    is a CSV report."""
+    if "csv" not in argv:
+        _strict_json(out.read_text())
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def _verify_sha256(tmp_dir, name: str, *argv: str, exit_code: int = 0) -> str:
     out = tmp_dir / name
     assert main(["verify", *argv, "--out", str(out)]) == exit_code
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return _sha256(out, argv)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_strict_json_rejects_nonfinite_constants(constant):
+    assert _strict_json('{"tolerance": 1e308}') == {"tolerance": 1e308}
+    with pytest.raises(ValueError, match="not strict JSON"):
+        _strict_json(f'{{"tolerance": {constant}}}')
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +132,7 @@ def sweep_outputs(tmp_path_factory):
             tmp_dir, f"{identity}.csv", identity, "--mode", "float", "--format", "csv"
         )
     exact = {
-        identity: json.loads((tmp_dir / f"{identity}.json").read_text())
+        identity: _strict_json((tmp_dir / f"{identity}.json").read_text())
         for identity in SWEEPS
     }
     return digests, exact
@@ -140,7 +165,7 @@ def test_sample_report_bytes_are_pinned(tmp_path, argv):
     out = tmp_path / "sample.report"
     seeded = ["--count", SAMPLE_COUNT, "--seed", SAMPLE_SEED, "--out", str(out)]
     assert main(["sample", *argv, *seeded]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_DIGESTS[argv], RERECORD
+    assert _sha256(out, argv) == SAMPLE_DIGESTS[argv], RERECORD
 
 
 def _params(exact, identity: str) -> list[dict[str, str]]:

@@ -192,6 +192,21 @@ def test_moment_match_exact_infinite_error_raises():
         moment_match_exact(stats, {1: 1.0, 2: 2.0})
 
 
+def test_overflowing_tolerance_raises():
+    """Finite statistics whose tolerance overflows a double decide nothing:
+    an infinite tolerance would pass every order from there on."""
+    stats = sampling.SampleStats(10, (1.0, 2.0), (0.1, 10.0))
+    assert moment_match(stats, stats, 1, 1e308)[0].passed
+    with pytest.raises(ValueError, match="overflows a double at order 2; lower --z"):
+        moment_match(stats, stats, 2, 1e308)
+    with pytest.raises(ValueError, match="overflows a double at order 2; lower --z"):
+        moment_match_exact(stats, {1: 1.0, 2: 2.0}, 1e308)
+    # Standard errors whose combination alone overflows, at any z.
+    huge = sampling.SampleStats(10, (1.0,), (1.5e308,))
+    with pytest.raises(ValueError, match="overflows a double at order 1"):
+        moment_match(huge, huge, 1, 1.0)
+
+
 @pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
 def test_moment_gates_need_a_finite_positive_z(z):
     a = collect_stats(sample_gaussian(RngStream(1, 0), 1000))
