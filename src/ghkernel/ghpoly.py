@@ -60,8 +60,6 @@ def gh_eval_recurrence(m: int, x: Scalar, p: Scalar) -> Scalar:
 
     Runs as gaussian_row on the pairs of lam x and lam^2 p and divides once.
     """
-    if m < 0:
-        raise ValueError("degree must be a natural number")
     lam = clearing_scale(x, p)
     row = gaussian_row(m, scale_to_gaussian(x, lam), scale_to_gaussian(p, lam * lam))
     re, im = row[m]

@@ -267,17 +267,14 @@ def _binomial_fold(top: int, tables: Sequence[Sequence[GaussianInt]]) -> list[Ga
 def _reports(
     identity: str, mode: str, tolerance: float | None, checks: Iterable[tuple]
 ) -> list[IdentityReport]:
-    """The report of each check (params, den, lhs, rhs, unit), in order: each
-    side is an int pair (float mode: doubles) over den, times unit after the
-    division unless unit is None.  Equal exact pairs make one Scalar, both
-    sides' object; float sides never share one, since -0.0 == 0.0 prints "-0.0"."""
+    """The report of each check (params, den, lhs, rhs), in order: each side
+    is an int pair (float mode: doubles) over den.  Equal exact pairs make one
+    Scalar, both sides' object; float sides never share one, since
+    -0.0 == 0.0 prints "-0.0"."""
     reports = []
-    for params, den, lhs_pair, rhs_pair, unit in checks:
+    for params, den, lhs_pair, rhs_pair in checks:
         lhs = from_gaussian(*lhs_pair, den, mode)
         rhs = lhs if mode == EXACT and lhs_pair == rhs_pair else from_gaussian(*rhs_pair, den, mode)
-        if unit is not None:
-            scaled = unit * lhs
-            lhs, rhs = scaled, (scaled if rhs is lhs else unit * rhs)
         reports.append(make_report(identity, params, lhs, rhs, tolerance))
     return reports
 
@@ -411,9 +408,10 @@ def _pair_rule_checks(
     outer.  Per p, one lam clears xv, yv, the pair and p, and both sides
     are one fold each, integers over M! lam^(2M).
 
-    With ``moments`` they are the moment identities' checks, on the sides at
-    p/2 (the stochastic form scales its noise by sqrt(p), while the polynomial
-    parameter enters as sigma^2 = 2p) with M! as each check's unit.
+    With ``moments`` they are the moment identities' checks: M! times the
+    sides at p/2 (the stochastic form scales its noise by sqrt(p), while the
+    polynomial parameter enters as sigma^2 = 2p), the same integers over
+    lam^(2M).
     """
     n, top, mode = len(xv), _top_degree(degrees), pair.mode
     folds = []
@@ -424,10 +422,9 @@ def _pair_rule_checks(
         lhs_row = _graczyk_lhs_ints(top, xv, yv, lam, p_int)
         folds.append((lam * lam, lhs_row, _graczyk_rhs_ints(top, pair, n, lam, p_int)))
     for M in degrees:
-        m_fact = math.factorial(M)
-        unit = lift(m_fact, mode) if moments else None
+        m_fact = 1 if moments else math.factorial(M)
         for p, (lam_sq, lhs_row, rhs_row) in zip(p_values, folds):
-            yield params(M, p), m_fact * lam_sq**M, lhs_row[M], rhs_row[M], unit
+            yield params(M, p), m_fact * lam_sq**M, lhs_row[M], rhs_row[M]
 
 
 def graczyk_identity(
@@ -646,7 +643,7 @@ def rotation_reports(
     }
     row_params = [{"n": str(n), "i": str(i), **shared} for i in range(n)]
     checks = (
-        ({"m": str(m), **params_i}, scale**m, lhs_row[m], rhs_row[m], None)
+        ({"m": str(m), **params_i}, scale**m, lhs_row[m], rhs_row[m])
         for m in degrees
         for params_i, (lhs_row, rhs_row) in zip(row_params, sides)
     )
@@ -753,7 +750,7 @@ def factorization_reports(
                 rhs_im += term[1]
             params = {"m1": str(m1), "m2": str(m2), **point}
             lhs = _gmul(row_u[m1], row_v[m2])
-            checks.append((params, scale**total, lhs, (rhs_re, rhs_im), None))
+            checks.append((params, scale**total, lhs, (rhs_re, rhs_im)))
     return _reports("factorization", mode, tolerance, checks)
 
 

@@ -43,6 +43,7 @@ from ghkernel import (
     mat_identity,
     mat_mul,
     matrix_polarization,
+    orthogonality_check,
     polarization_pair,
     rotation_sumrule,
     sweeps,
@@ -421,6 +422,21 @@ def test_float_sides_match_exact_sides():
                     assert_float_side(factorization_sumrule, m1, m2, c, s, x, y, p)
 
 
+@pytest.mark.parametrize("identity, sides", [("inner-product-moments", 378), ("matrix", 84)])
+def test_float_moment_sides_are_exact_sides_rounded_once(identity, sides):
+    """On the default grids each float moment side is its exact side
+    rounded once: the moments are integers over lam^(2M), divided once, and
+    no M! is divided out and multiplied back in."""
+    sweep = sweeps.SWEEPS[identity]
+    pairs = [
+        (to_float(getattr(want, side)), getattr(got, side))
+        for want, got in zip(sweep(mode=EXACT), sweep(mode=FLOAT), strict=True)
+        for side in ("lhs", "rhs")
+    ]
+    assert len(pairs) == sides
+    assert [want for want, got in pairs if want != got] == []
+
+
 # ---------------------------------------------------------------------------
 # all-degree paths against single-degree calls, off the built-in grids
 
@@ -580,6 +596,20 @@ def test_rotation_with_non_orthogonal_matrix_fails():
                 assert wrong.verdict == FAIL
 
 
+def test_rotation_rule_reads_unit_rows_not_orthogonality():
+    """A pass of the rotation rule checks that each row a has a . a = 1
+    (bilinear), not that O is orthogonal: this matrix has unit rows and is
+    not orthogonal, and all 21 checks pass in both modes."""
+    unit_rows = ((q(3, 5), q(4, 5), 0), (1, 0, 0), (q(2, 3), q(2, 3), q(1, 3)))
+    for mode, passing in PASS_VERDICTS:
+        o = tuple(sweeps.in_mode(row, mode) for row in unit_rows)
+        xv = sweeps.in_mode(sweeps.ROTATION_VECTORS[3], mode)
+        (p,) = sweeps.in_mode([sweeps.ROTATION_P], mode)
+        assert not orthogonality_check(o)
+        reports = rotation_reports(range(7), o, xv, p, MUTATION_TOLERANCE)
+        assert [r.verdict for r in reports] == [passing] * 21
+
+
 def test_factorization_with_sign_flipped_expansion_fails():
     """Negating s on the right-hand side only."""
     for mode, passing in PASS_VERDICTS:
@@ -679,6 +709,56 @@ def test_matrix_rule_read_at_one_dimension_less_fails(monkeypatch):
         assert len(reports) == 42
         assert [not r.passed for r in reports] == [int(r.params["M"]) >= 2 for r in reports]
         assert sum(not r.passed for r in reports) == 30
+
+
+def test_chi_weight_read_at_half_n_plus_one_fails(monkeypatch):
+    """The chi weight ((n-1)/2)_j read at (n+1)/2, on the three default
+    pair grids: checks fail at every M from 2 to 6, and none below, since
+    degrees 0 and 1 do not read the weight."""
+    rhs_ints = identities._graczyk_rhs_ints
+    expected = {"graczyk": 772, "inner-product-moments": 135, "matrix": 30}
+    for identity, failures in expected.items():
+        sweep = sweeps.SWEEPS[identity]
+        for mode, _ in PASS_VERDICTS:
+            assert all(report.passed for report in sweep(mode=mode, tolerance=MUTATION_TOLERANCE))
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    identities, "_graczyk_rhs_ints",
+                    lambda top, pair, n, lam, p_int: rhs_ints(top, pair, n + 2, lam, p_int),
+                )
+                failing = [r for r in sweep(mode=mode, tolerance=MUTATION_TOLERANCE) if not r.passed]
+            assert len(failing) == failures
+            assert {int(r.params["M"]) for r in failing} == set(range(2, 7))
+
+
+def test_matrix_trace_read_as_tr_xy_fails_off_the_default_grid(monkeypatch):
+    """The matrix rule's left side read as tr(X Y) for tr(X^t Y), on 2x2
+    shapes.  The default 2x2 pairs are collinear, (w, lam w) with w the
+    pool's first vector, and that w reshapes to a symmetric matrix, so the
+    default grid cannot see this mutant: its 21 checks pass.  The last n = 4
+    pool pair, reshaped, catches it at every M from 1 to 6."""
+    lhs_ints = identities._graczyk_lhs_ints
+
+    def transposed_y(top, xv, yv, lam, p_int):
+        if len(yv) == 4:
+            yv = (yv[0], yv[2], yv[1], yv[3])
+        return lhs_ints(top, xv, yv, lam, p_int)
+
+    for mode, passing in PASS_VERDICTS:
+        flat_x, flat_y = sweeps.exact_pair_pool(4, mode)[-1]
+        xm, ym = sweeps._reshape(flat_x, 2, 2), sweeps._reshape(flat_y, 2, 2)
+        right = matrix_moment_reports(range(7), xm, ym, MUTATION_TOLERANCE)
+        assert [r.verdict for r in right] == [passing] * 7
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "_graczyk_lhs_ints", transposed_y)
+            wrong = matrix_moment_reports(range(7), xm, ym, MUTATION_TOLERANCE)
+            default = [
+                r for r in sweeps.SWEEPS["matrix"](mode=mode, tolerance=MUTATION_TOLERANCE)
+                if r.params["shape"] == "2x2"
+            ]
+        assert [r.passed for r in wrong] == [True] + [False] * 6
+        assert len(default) == 21
+        assert all(r.passed for r in default)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ghkernel import (
     lift,
     to_float,
 )
+from ghkernel.ghpoly import gaussian_row
 
 
 def rand_rational(rng, span=10, den=8):
@@ -157,7 +158,13 @@ def test_mode_mismatch_rejected():
 
 
 def test_negative_degree_rejected():
-    with pytest.raises(ValueError):
-        gh_eval(-1, exact(1), exact(1))
-    with pytest.raises(ValueError):
-        gh_eval_recurrence(-1, exact(1), exact(1))
+    """Every evaluation route, and the row the recurrence reads, names a
+    negative degree; the recurrence leaves that check to the row."""
+    for call in (
+        lambda: gh_eval(-1, exact(1), exact(1)),
+        lambda: gh_eval_recurrence(-1, exact(1), exact(1)),
+        lambda: gh_moment_oracle(-1, exact(1), exact(1)),
+        lambda: gaussian_row(-1, (1, 0), (1, 0)),
+    ):
+        with pytest.raises(ValueError, match="degree must be a natural number"):
+            call()

@@ -28,6 +28,7 @@ from ghkernel import (
     matrix_polarization,
     norm_sq,
     orthogonality_check,
+    pochhammer,
     polarization_pair,
     rotation_sumrule,
 )
@@ -93,12 +94,22 @@ def test_polarization_rejects_complex_and_mismatched_inputs():
     (lambda: rotation_reports([1], (), (), exact(1)), "empty matrix"),
     (lambda: coeff_C(-1, 1, 0, exact(Fraction(3, 5)), exact(Fraction(4, 5))),
      "degrees must be natural numbers"),
+    (lambda: dot(exact_vec(1, 2), exact_vec(1)), "dimension mismatch"),
+    (lambda: mat_mul((exact_vec(1, 2),), (exact_vec(1, 2),)), "shape mismatch"),
+    (lambda: graczyk_lhs(2, exact_vec(1, 2), exact_vec(1), exact(1)), "dimension mismatch"),
+    (lambda: graczyk_rhs(2, polarization_pair(exact_vec(3), exact_vec(4)), 0, exact(1)),
+     "dimension must be at least 1"),
+    (lambda: rotation_reports([1], mat_identity(2, EXACT), exact_vec(1), exact(1)),
+     "dimension mismatch"),
+    (lambda: pochhammer(exact(3), -1), "order must be a natural number"),
 ], ids=["graczyk_lhs", "polarization_pair", "graczyk_reports", "inner_product_moment_identity",
         "matrix_polarization", "matrix_moment_identity", "orthogonality_check",
-        "rotation_reports", "coeff_C"])
+        "rotation_reports", "coeff_C", "dot_mismatch", "mat_mul_mismatch",
+        "graczyk_lhs_mismatch", "graczyk_rhs_n0", "rotation_reports_mismatch",
+        "pochhammer"])
 def test_empty_vectors_raise_value_error(call, message):
-    """Empty vectors and matrices, and a negative degree, raise ValueError
-    before any side is built."""
+    """Empty vectors and matrices, mismatched shapes, and a negative degree
+    or a dimension below 1 raise ValueError before any side is built."""
     with pytest.raises(ValueError, match=message):
         call()
 

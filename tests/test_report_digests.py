@@ -5,7 +5,8 @@ on the built-in grids and at three explicit points, of four float reports
 with failing rows, and of five seeded `ghkernel sample` reports.  Any change to the mathematics, the enumeration
 order, the draw layout or the serialization changes a digest.  The same
 exact reports then show that each `grid_description` tells the truth about
-the grid its sweep enumerates.  Every JSON report must also parse as strict
+the grid its sweep enumerates, and that their content matches the records
+the benchmark holds them to (`bench/reports.py`).  Every JSON report must also parse as strict
 JSON: no `NaN` or `Infinity` token.
 """
 
@@ -15,6 +16,7 @@ import hashlib
 import json
 import re
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 
@@ -22,25 +24,25 @@ from ghkernel.cli import main
 from ghkernel.sweeps import SWEEPS, grid_description
 
 SWEEP_DIGESTS = {
-    ("graczyk", "exact"): "01dab28c7156934551d8182387540078b42dcc7cf0c298c89165b61fbb0aa86c",
-    ("rotation", "exact"): "da53121e4dfce52d7a5e769b4f042feb81895ef13feebd4ba21c0b978830bd67",
-    ("factorization", "exact"): "46658cd44435a6cd8eda1d0a8c185b2e6c3afe23ea7d2f22bcdd883a38bd6060",
-    ("inner-product-moments", "exact"): "6bcc08108ddf69cf9f983b513eac29e0e533461bfb832480e76555577c154ccf",
-    ("matrix", "exact"): "98e80b815b60d1dad3e0962ea4dd4267784941c7539b6f33e6cf83ca0b849646",
-    ("graczyk", "float"): "5268f91089972489257000c65d51e204027e95585d9e337620c29f42f2ef4444",
-    ("rotation", "float"): "9acc1ca90075947bda5717fd798105d6cc39508b5cdb1994fdca866b427342ea",
-    ("factorization", "float"): "098b9d2efa7d5e46d39c52433adf4a67291f1f6e4e63a8ecf95a54b9739e6b1f",
-    ("inner-product-moments", "float"): "c50ab4c5d4a78476bf4535963aa7f269270b6db5bd6cb8872804fe58f4d63da7",
-    ("matrix", "float"): "947161477ddc06f936461bb4bc0e5e86b976b2f0aea9ff195187e74b2e066f3e",
+    ("graczyk", "exact"): "2250b50bccca5ae12109ca624417d7b245c5a488e88b55c4518f34dcdaf69fc9",
+    ("rotation", "exact"): "7ae253a6e0dfa1fa8806dba4015ef1723e00a88d5a6b28e9baa76735b4a4318a",
+    ("factorization", "exact"): "e6f8d75f78432eca27edbb98cd6cbe13366b6ca7d768f59105ec5369f61a8f22",
+    ("inner-product-moments", "exact"): "e00614497e4f83a3f845bf60404084db1de90f2add599c2ce99f789589c8ca32",
+    ("matrix", "exact"): "33fce42a9ac7b712d7a3197633d0a25b998077f548e8b6a956ab40832d4bd101",
+    ("graczyk", "float"): "69be86482857c89233fd0ad4f6612367a033816550487c6be480353b5dae2814",
+    ("rotation", "float"): "0d5e3bdf3446f84415cc23fcb9f682052e1ba8425e498e32dece9c80edadd1e5",
+    ("factorization", "float"): "1ec80f320b478d68e65fa1c006df71f393d0c3d9b9526cae78e64fee11a1f6e1",
+    ("inner-product-moments", "float"): "2c5005d8ae1ac857db751f236183bad6cf0c6b61202980b398cb13c743e52ba9",
+    ("matrix", "float"): "920db01dbfb7fdaa934393d35156d6347fc109ea1794ca88eab3273a13deb9b6",
 }
 
 POINT_DIGESTS = {
     ("--xv", "3,4", "--yv", "3,4", "--p", "1"):
-        "754e2a86a69d66db7d88e6d38a617b535272870d3d03ac6aaa143dddc622795a",
+        "8044769be3f2faf025dbc49fdb15b2930318c414fed4768054edebc58919d672",
     ("--xv", "3,4", "--yv", "1,-2", "--mode", "float"):
-        "424b12873de5e6bd1a17cdf03bed21cedebd8ee4d752e6446d63849c294c2595",
+        "096e303b65476c7d498c8b6e109a4128964092d2be840180971869f80f86af92",
     ("--xv", "3,4", "--yv", "3,4"):
-        "deb439918640eb89e368cabb31232fa00f675d36ec53e10b24c89f4789de7654",
+        "62fbfc6669f1f6f6a6d2af9fc8c75edc573426ebf65b46b1668874ed65fb55b3",
 }
 
 # Float CSV reports at a tolerance no nonzero residual meets, so passing and
@@ -49,11 +51,11 @@ POINT_DIGESTS = {
 # is exactly 0, so they still pass.)
 FAILING_TOLERANCE = "1e-300"
 FAILING_DIGESTS = {
-    ("graczyk",): "cd90c34ef77ec48ba3eef44e1ec8ffc1395065456020f916b390e8d406e40bcc",
-    ("rotation",): "d5081fc7d7727140af4faf28ed219c9615e51b0926688935646efd9e4924f118",
-    ("factorization",): "925505117e32ec52bd7ab9de8a8324ddf31fb2ab1e3e8d064017ecc256a39f94",
+    ("graczyk",): "aac403bc52b07c2a248e8955ccdc8b7e64bbb94c26eaf0b6c3d927ec7d0f5549",
+    ("rotation",): "fc479732143bf9628a3df1057d3a49b84a67f954a4093cc00e18b7247bafca8d",
+    ("factorization",): "033166cecbaff21be1c7dce730a8786cd07440a7dcaf10896d300233cffa79ae",
     ("graczyk", "--xv", "3,4", "--yv", "1,-2"):
-        "c5565c5c33ff80be0a0507e18f2a4b0c9c3c2393b9f6643ed3d43633e5e7896e",
+        "b7d615c8c3ceba6b1f74a6b127cc446ae8fab812ade866814c9ab14bab0311b1",
 }
 
 # An odd count large enough that every target draws its samples in
@@ -63,16 +65,16 @@ SAMPLE_SEED = "7"
 
 SAMPLE_DIGESTS = {
     ("inner-product", "--ks"):
-        "ee051ee5bc2fdcda7f7995b1af43fedc76ea2f037b376928d422cddd07579218",
+        "dbc33f9ff7921f81dadd6f0a64310f178b615a0f09e65dae513bee378e586d96",
     ("matrix",):
-        "5a21118c339cfd91fdfbebc0d5d71c4ad8913c17e892a093ee377ce87857a569",
+        "5bd7d9783f35adc11256c73c2b291ef684fc0016f538f79a870681c84cc32820",
     ("chi-merge",):
-        "98cfebc89ee6afca03af013bd50da737d495c1b0a57c9555d6e4eca68f13844a",
+        "e91716f5675486664eecac4dadbe6706d3e1d850be73f3c31b0a855804ba48cb",
     # n = 1: the right-hand side draws no chi block.
     ("inner-product", "--xv", "2", "--yv", "5", "--format", "csv"):
-        "651741104643dbdf019aaa97763a8facdf3d19471f19764f9e7abdb7313b15d9",
+        "1ddf5e186aaf00984be94a0795988136613f925c57b9e4b3cd0c422e34d819d4",
     ("matrix", "--xm", "1,2,3;4,5,6", "--ym", "0,1,0;1,0,1"):
-        "61d8b38518d72de78b62a589016b38719866feb979d0aa64805cc0f611b37985",
+        "4325198c06ba8661c1ed7f783c6db006a27341a61b29246ad72dec456e876205",
 }
 
 REPORT_COUNTS = {
@@ -82,6 +84,8 @@ REPORT_COUNTS = {
     "inner-product-moments": 189,
     "matrix": 42,
 }
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 RERECORD = (
     "report bytes changed; if the change is intended, bump spec_version "
@@ -194,6 +198,23 @@ def test_report_counts(sweep_outputs):
     assert counts == REPORT_COUNTS
 
 
+@pytest.fixture
+def bench_reports(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import reports
+
+    return reports
+
+
+@pytest.mark.parametrize("identity", SWEEPS)
+def test_exact_sweep_content_matches_bench_records(sweep_outputs, bench_reports, identity):
+    """The bench counts an exact sweep as a failed operation unless its row
+    count and content digest match the bench's own records."""
+    rows = sweep_outputs[1][identity]["reports"]
+    assert len(rows) == bench_reports.EXPECTED_REPORTS[identity]
+    assert bench_reports.content_digest(rows) == bench_reports.load_digests()[identity]
+
+
 def test_graczyk_description_matches_sweep(sweep_outputs):
     params = _params(sweep_outputs[1], "graczyk")
     grid = grid_description("graczyk")
@@ -229,6 +250,11 @@ def test_moment_description_matches_sweep(sweep_outputs):
     assert [str(m) for m in grid["M"]] == _distinct(p["M"] for p in params)
     assert grid["p"] == _distinct(p["p"] for p in params)
     assert set(_pairs_per_n(params).values()) == {grid["pairs_per_n"]}
+
+
+def test_grid_description_rejects_an_unknown_identity():
+    with pytest.raises(ValueError, match="unknown identity 'bogus'"):
+        grid_description("bogus")
 
 
 def test_matrix_description_matches_sweep(sweep_outputs):

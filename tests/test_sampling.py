@@ -114,6 +114,33 @@ def test_inner_product_rejects_negative_p():
         inner_product_rhs_samples(pair, 1, -1.0, RngStream(0, 0), 10)
 
 
+STREAM = RngStream(0, 0)
+TWO_POINT_STATS = collect_stats(np.array([0.0, 1.0]), order=2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sample_gaussian(STREAM, -1), ValueError, "count must be a natural number"),
+    (lambda: chi_even_moment(0, 1), ValueError, "dof must be >= 1"),
+    (lambda: chi_merge_samples(STREAM, 0, 1, 10), ValueError, "both degree counts"),
+    (lambda: chi_merge_samples(STREAM, 1, 0, 10), ValueError, "both degree counts"),
+    (lambda: inner_product_rhs_samples((1.0, 1.0), 1, 1.0, STREAM, 10),
+     TypeError, "expected a PolarizationPair"),
+    (lambda: inner_product_rhs_samples(polarization_pair((flt(1),), (flt(1),)), 0, 1.0,
+                                       STREAM, 10),
+     ValueError, "dimension must be at least 1"),
+    (lambda: matrix_trace_samples([[1, 2]], [[1], [2]], STREAM, 10),
+     ValueError, "need two equal-shape matrices"),
+    (lambda: moment_match_exact(TWO_POINT_STATS, {3: 1.0}),
+     ValueError, "not collected to the requested order"),
+    (lambda: ks_two_sample(np.array([]), np.array([1.0])),
+     ValueError, "need two flat non-empty samples"),
+], ids=["sample_gaussian", "chi_even_moment", "chi_merge_a", "chi_merge_b", "rhs_not_a_pair",
+        "rhs_n0", "matrix_shapes", "moment_match_exact_order", "ks_empty"])
+def test_sampling_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_inner_product_rhs_noise_free_case():
     pair = polarization_pair((flt(3), flt(4)), (flt(3), flt(4)))
     samples = inner_product_rhs_samples(pair, 2, 0.0, RngStream(4, 0), 100)

@@ -75,6 +75,13 @@ def test_mode_mixing_is_an_error():
             op()
 
 
+def test_arithmetic_with_a_non_scalar_is_a_type_error():
+    a = exact(1)
+    for op in (lambda: a + 1, lambda: a - 1, lambda: a * 1, lambda: a / 1):
+        with pytest.raises(TypeError, match="expected Scalar"):
+            op()
+
+
 def test_power_conventions():
     assert exact(0) ** 0 == exact(1)
     assert exact(Fraction(2, 3)) ** 3 == exact(Fraction(8, 27))
