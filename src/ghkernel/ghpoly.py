@@ -5,8 +5,8 @@ g_m(x, p) is the gap-2 polynomial family
     g_m(x, p) = sum_{k=0}^{floor(m/2)} m! / (k! (m-2k)!) * p^k * x^(m-2k),
 
 equal to the shifted Gaussian moment E (x + sigma N)^m with sigma^2 = 2p.
-Three independent evaluation routes are provided (direct sum, three-term
-recurrence, moment expansion); in exact mode they must agree to the bit.
+The three-term recurrence serves eval, hermite_eval and the sum rules; the
+direct sum gh_eval and the moment route gh_moment_oracle are test oracles.
 
 The recurrence runs on pairs (re, im), in both modes.  Homogeneity,
 
@@ -128,16 +128,10 @@ def gh_multi_eval(m: MultiIndex, xs: Sequence[Scalar], p: Scalar) -> Scalar:
 
 
 def hermite_eval(n: int, x: Scalar) -> Scalar:
-    """Physicists' Hermite polynomial H_n(x) = g_n(2x, -1).
-
-    Exact mode takes the direct sum, so the Hermite bridge of the
-    acceptance tests compares it with an independent recurrence.  Float
-    mode takes the recurrence, which never turns a coefficient
-    n!/(k!(n-2k)!) into a double, where it overflows from n = 266.
-    """
-    mode = x.mode
-    evaluate = gh_eval_recurrence if mode == FLOAT else gh_eval
-    return evaluate(n, lift(2, mode) * x, lift(-1, mode))
+    """Physicists' Hermite polynomial H_n(x) = g_n(2x, -1), read off the
+    recurrence row in both modes: no coefficient n!/(k!(n-2k)!) becomes a
+    double, where it overflows from n = 266."""
+    return gh_eval_recurrence(n, lift(2, x.mode) * x, lift(-1, x.mode))
 
 
 def gaussian_moment(order: int) -> int:

@@ -6,13 +6,13 @@ exact mode a report passes only with a literally zero residual; in float
 mode it passes when the relative residual stays under the caller's
 tolerance.  Nothing in this module is randomized.
 
-Each sum-rule side is one loop over pairs, in both modes.  In exact mode
-the inputs are scaled to a common denominator, so every term is a Gaussian
-integer accumulated as an int pair (see ``ghpoly.gaussian_row``); in float
-mode the scale is 1 and the pairs hold doubles.  The two sides of every rule
-share that denominator, so an exact verdict compares the sides' integers:
-equal pairs become one Scalar, both sides' object.  Either way a side becomes
-a Scalar once, by a single division at its end.
+Each sum-rule side, and the polarization pair, is one loop over pairs, in
+both modes.  In exact mode the inputs are scaled to a common denominator, so
+every term is a Gaussian integer summed as an int pair (``gaussian_row``; the
+pair sums lam^2 |u +/- v|^2, rooted by math.isqrt); in float mode the scale is
+1 and the pairs hold doubles.  The two sides of every rule share that
+denominator, so an exact verdict compares the sides' integers: equal pairs
+become one Scalar, both sides' object.  A side is one division into a Scalar.
 
 Each rule has one ``*_reports`` function that checks one grid object and
 everything that shares its tables: a vector pair at every (M, p), a rotation
@@ -51,7 +51,6 @@ from .scalars import (
     FLOAT,
     NotExactlyRepresentableError,
     Scalar,
-    exact_sqrt,
     lift,
     magnitude,
     one,
@@ -137,14 +136,6 @@ def make_report(
 
 # ---------------------------------------------------------------------------
 # vector and matrix helpers over Scalars
-
-
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -291,36 +282,36 @@ def _top_degree(degrees: Sequence[int]) -> int:
 # polarization
 
 
-def _real_norm(u: Sequence[Scalar]) -> Scalar:
-    """Euclidean norm of a real vector, exact when representable."""
-    nsq = norm_sq(u)
-    if nsq.mode == FLOAT:
-        return Scalar(FLOAT, math.sqrt(nsq.re), 0.0)
-    root = exact_sqrt(nsq)
-    if root is None:
-        raise NotExactlyRepresentableError(
-            f"norm^2 = {nsq.re} is not a perfect rational square; "
-            "rerun in float mode"
-        )
-    return root
-
-
 def polarization_pair(xv: Sequence[Scalar], yv: Sequence[Scalar]) -> PolarizationPair:
     """Reduce a real vector pair to the scalars x = (|u+v|+|u-v|)/2,
-    y = (|u+v|-|u-v|)/2.
+    y = (|u+v|-|u-v|)/2, from the integers lam^2 |u +/- v|^2 over one lam.
 
-    Exact mode requires both squared norms to be perfect rational squares;
+    Exact mode takes their roots with math.isqrt and needs perfect squares;
     otherwise NotExactlyRepresentableError is raised and the caller may rerun
-    in float mode.
+    in float mode.  Float mode sums doubles (lam = 1) and takes math.sqrt.
     """
     if len(xv) != len(yv):
         raise ValueError("dimension mismatch")
+    if not xv:
+        raise ValueError("empty vectors u and v: the dot product needs a coordinate")
     if any(not s.is_real() for s in (*xv, *yv)):
         raise ValueError("polarization needs real vectors")
-    plus = _real_norm(vec_add(xv, yv))
-    minus = _real_norm(vec_sub(xv, yv))
-    half = lift(Fraction(1, 2), plus.mode)
-    return PolarizationPair((plus + minus) * half, (plus - minus) * half)
+    lam, mode = clearing_scale(*xv, *yv), xv[0].mode
+    plus_sq = minus_sq = 0
+    for x, y in zip(xv, yv):
+        a, b = scale_to_gaussian(x, lam)[0], scale_to_gaussian(y, lam)[0]
+        plus_sq += (a + b) * (a + b)
+        minus_sq += (a - b) * (a - b)
+    roots = [math.sqrt(u) if mode == FLOAT else math.isqrt(u) for u in (plus_sq, minus_sq)]
+    for root, square in zip(roots, (plus_sq, minus_sq)):
+        if mode == EXACT and root * root != square:
+            raise NotExactlyRepresentableError(
+                f"norm^2 = {Fraction(square, lam * lam)} is not a perfect rational square; "
+                "rerun in float mode"
+            )
+    plus, minus = roots
+    halves = (from_gaussian(r, 0, 2 * lam, mode) for r in (plus + minus, plus - minus))
+    return PolarizationPair(*halves)
 
 
 def matrix_polarization(xm: Matrix, ym: Matrix) -> PolarizationPair:

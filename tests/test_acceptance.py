@@ -160,11 +160,15 @@ def test_criterion_4_consistency_triangle():
             prev, cur = cur, two_x * cur - lift(2 * degree, x.mode) * prev
         return cur
 
+    # hermite_eval reads the recurrence row; the direct sum gh_eval at
+    # (2x, -1) is the independent reference beside the Hermite recurrence.
     hermite_ok = True
     for _ in range(10):
         x = exact(Fraction(rng.randint(-10, 10), rng.randint(1, 8)))
+        two_x = lift(2, x.mode) * x
         for n in range(31):
-            if hermite_eval(n, x) != hermite_oracle(n, x):
+            value = hermite_eval(n, x)
+            if value != hermite_oracle(n, x) or value != gh_eval(n, two_x, lift(-1, x.mode)):
                 hermite_ok = False
     ok = triangle_ok and hermite_ok
     report_line(

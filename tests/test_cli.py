@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import shlex
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +142,13 @@ def test_verify_graczyk_explicit_point_inexact_norms_exit_2(capsys):
     assert "not a perfect rational square" in err
 
 
+def test_verify_graczyk_irrational_norm_names_its_square(capsys):
+    """|u + v|^2 = 17 at u = (1, 2), v = (3, -1): exact mode refuses the pair."""
+    code, out, err = run(capsys, "verify", "graczyk", "--xv", "1,2", "--yv", "3,-1", "--p", "1")
+    assert (code, out) == (2, "")
+    assert "norm^2 = 17 is not a perfect rational square" in err
+
+
 def test_verify_graczyk_explicit_point_passes(tmp_path, capsys):
     out_file = tmp_path / "point.json"
     code, _, _ = run(capsys, "verify", "graczyk", "--xv", "3,4", "--yv", "3,4",
@@ -213,7 +222,8 @@ def test_verify_float_overflow_exits_2(tmp_path, capsys):
                        "--yv", "1e200,1", "--p", "1", "--out", str(out_file))
     assert code == 2
     assert "graczyk check at M=1," in err
-    assert "overflows a double; use --mode exact" in err
+    # The polarization pair stays real when its norms overflow.
+    assert "pair_x=inf, pair_y=inf overflows a double; use --mode exact" in err
     assert not out_file.exists()
 
 
@@ -385,8 +395,12 @@ def test_sample_overflowing_tolerance_exits_2(capsys):
     [
         (("chi-merge", "--ks", "--format", "csv"), "--ks applies to JSON reports only"),
         (("matrix", "--xm", "1,2;3"), "ragged matrix"),
+        (("matrix", "--xm", "3,0;;0,0"), "blank row in matrix"),
+        (("inner-product", "--p", "1+1i"), "expected a real number"),
+        (("chi-merge", "--a", "0"), "chi-merge needs --a >= 1 and --b >= 1"),
     ],
-    ids=["ks-csv", "ragged-matrix"],
+    ids=["ks-csv", "ragged-matrix", "matrix-blank-row", "inner-product-complex-p",
+         "chi-merge-a"],
 )
 def test_sample_usage_error_messages(capsys, argv, message):
     code, out, err = run(capsys, "sample", *argv, "--count", "100")
@@ -589,3 +603,34 @@ def test_verify_float_mode_default_tolerance(tmp_path, capsys):
                      "--out", str(out_file))
     assert code == 0
     assert json.loads(out_file.read_text())["tolerance"] == DEFAULT_FLOAT_TOLERANCE
+
+
+def readme_commands():
+    """Each ``ghkernel`` line of the sh block under "## Command line" in the
+    README, as (argv, the value after its "# ->" comment or None)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            note = comment.split()
+            shown = note[1] if note[:1] == ["->"] else None
+            commands.append((shlex.split(command)[1:], shown))
+    return commands
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    """Each eval example prints its "# ->" value, each verify example exits
+    0, and each sample example exits 0 at --count 2000."""
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv, _ in commands] == ["eval"] * 2 + ["verify"] * 3 + ["sample"] * 3
+    assert [shown for _, shown in commands[:2]] == ["3", "-4"]
+    for argv, shown in commands:
+        if argv[0] == "sample":
+            argv = [*argv, "--count", "2000"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] == "eval":
+            assert out.strip() == shown

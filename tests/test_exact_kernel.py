@@ -761,6 +761,58 @@ def test_matrix_trace_read_as_tr_xy_fails_off_the_default_grid(monkeypatch):
         assert all(r.passed for r in default)
 
 
+def sigma_sq_p_lhs(top, xv, yv, lam, p_int):
+    """The Graczyk left side with sigma^2 = p for 2p: each coordinate's rows
+    from g_(k+1) = x g_k + p k g_(k-1)."""
+    def row(x):
+        out = [(1, 0), x]
+        for k in range(1, top):
+            (ar, ai), (br, bi) = identities._gmul(x, out[k]), identities._gmul(p_int, out[k - 1])
+            out.append((ar + k * br, ai + k * bi))
+        return out[: top + 1]
+
+    tables = []
+    for x, y in zip(xv, yv):
+        gx, gy = row(scale_to_gaussian(x, lam)), row(scale_to_gaussian(y, lam))
+        tables.append([identities._gmul(a, b) for a, b in zip(gx, gy)])
+    return _binomial_fold(top, tables)
+
+
+def dropped_factorial_lhs(top, xv, yv, lam, p_int):
+    """The Graczyk left side without its 1/m!: M! sum_(|m|=M) prod_j T_j[m_j].
+    That is the binomial fold of the product rows T_j[k] times k!."""
+    tables = [
+        [(math.factorial(k) * re, math.factorial(k) * im) for k, (re, im) in enumerate(row)]
+        for row in (identities._product_row(top, x, y, lam, p_int) for x, y in zip(xv, yv))
+    ]
+    return _binomial_fold(top, tables)
+
+
+def test_graczyk_left_side_mutants_fail_from_degree_two(monkeypatch):
+    """Two wrong left sides on the three default pair grids: sigma^2 = p for
+    2p in the coordinate rows, and a dropped 1/m!.  The true rules pass; each
+    mutant fails the same checks in exact mode and in float mode at 1e-9,
+    none below M = 2 (degrees 0 and 1 read neither p nor m!)."""
+    expected = {
+        sigma_sq_p_lhs: {"graczyk": 769, "inner-product-moments": 135, "matrix": 30},
+        dropped_factorial_lhs: {"graczyk": 968, "inner-product-moments": 135, "matrix": 30},
+    }
+    sizes = {"graczyk": 1365, "inner-product-moments": 189, "matrix": 42}
+    for identity, size in sizes.items():
+        sweep = sweeps.SWEEPS[identity]
+        for mode, _ in PASS_VERDICTS:
+            reports = sweep(mode=mode, tolerance=MUTATION_TOLERANCE)
+            assert len(reports) == size
+            assert all(report.passed for report in reports)
+            for mutant, failures in expected.items():
+                with monkeypatch.context() as patch:
+                    patch.setattr(identities, "_graczyk_lhs_ints", mutant)
+                    reports = sweep(mode=mode, tolerance=MUTATION_TOLERANCE)
+                failing = [r for r in reports if not r.passed]
+                assert len(failing) == failures[identity]
+                assert min(int(r.params["M"]) for r in failing) == 2
+
+
 # ---------------------------------------------------------------------------
 # exact verdicts on the sides' integers: equal pairs share one Scalar
 

@@ -10,11 +10,13 @@ from ghkernel import (
     EXACT,
     FLOAT,
     NotExactlyRepresentableError,
+    Scalar,
     coeff_C,
     complex_givens,
     dot,
     exact,
     exact_pair_pool,
+    exact_sqrt,
     factorization_sumrule,
     flt,
     gh_eval,
@@ -22,6 +24,7 @@ from ghkernel import (
     graczyk_lhs,
     graczyk_rhs,
     inner_product_moment_identity,
+    lift,
     mat_identity,
     mat_mul,
     matrix_moment_identity,
@@ -121,6 +124,64 @@ def test_polarization_pair_invariants():
             assert pair.x.re >= abs(pair.y.re)
             assert pair.x**2 + pair.y**2 == norm_sq(xv) + norm_sq(yv)
             assert pair.x * pair.y == dot(xv, yv)
+
+
+def scalar_polarization(xv, yv):
+    """The Scalar construction that polarization_pair replaced: elementwise
+    sum and difference, norm_sq, exact_sqrt or math.sqrt, times 1/2."""
+    mode, roots = xv[0].mode, []
+    for w in (tuple(a + b for a, b in zip(xv, yv)), tuple(a - b for a, b in zip(xv, yv))):
+        nsq = norm_sq(w)
+        root = Scalar(FLOAT, math.sqrt(nsq.re), 0.0) if mode == FLOAT else exact_sqrt(nsq)
+        if root is None:
+            raise NotExactlyRepresentableError(
+                f"norm^2 = {nsq.re} is not a perfect rational square; rerun in float mode"
+            )
+        roots.append(root)
+    plus, minus = roots
+    half = lift(Fraction(1, 2), mode)
+    return (plus + minus) * half, (plus - minus) * half
+
+
+def test_polarization_matches_scalar_construction_on_exact_pools():
+    for n in range(1, 7):
+        for xv, yv in exact_pair_pool(n):
+            pair = polarization_pair(xv, yv)
+            x, y = scalar_polarization(xv, yv)
+            assert (pair.x, pair.y) == (x, y)
+            assert all(isinstance(part, Fraction) for part in (pair.x.re, pair.x.im, pair.y.re))
+
+
+def test_polarization_matches_scalar_construction_bit_for_bit_in_float_mode():
+    rng = random.Random(2027)
+    entries = (0.0, -0.0, 1.0, -3.0, 0.5, -0.125, 0.1, -2.7, 1e-3, 12.75)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        xv, yv = (tuple(flt(rng.choice(entries) * rng.choice((1, -1))) for _ in range(n))
+                  for _ in range(2))
+        pair = polarization_pair(xv, yv)
+        got = [part.hex() for s in (pair.x, pair.y) for part in (s.re, s.im)]
+        want = [part.hex() for s in scalar_polarization(xv, yv) for part in (s.re, s.im)]
+        assert got == want
+
+
+def test_polarization_refuses_irrational_norms_as_scalar_construction_did():
+    rng = random.Random(31)
+    refused = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        xv, yv = (tuple(exact(rand_rational(rng)) for _ in range(n)) for _ in range(2))
+        try:
+            expected = scalar_polarization(xv, yv)
+        except NotExactlyRepresentableError as error:
+            refused += 1
+            with pytest.raises(NotExactlyRepresentableError) as raised:
+                polarization_pair(xv, yv)
+            assert str(raised.value) == str(error)
+        else:
+            pair = polarization_pair(xv, yv)
+            assert (pair.x, pair.y) == expected
+    assert refused > 200
 
 
 # ---------------------------------------------------------------------------

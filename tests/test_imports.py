@@ -96,13 +96,15 @@ def test_sample_ks_loads_numpy_only(tmp_path):
         ("sample", "matrix", "--xv", "1"),
         ("sample", "inner-product", "--xv", "1,x"),
         ("sample", "inner-product", "--p", "0"),
+        ("sample", "inner-product", "--p", "1+1i"),
         ("sample", "matrix", "--xm", "3,0;;0,0"),
         ("sample", "inner-product", "--xv", "3,,4"),
         ("sample", "matrix", "--xm", "1,2;3"),
         ("sample", "chi-merge", "--ks", "--format", "csv"),
     ],
     ids=["chi-merge-a", "matrix-xv", "inner-product-xv", "inner-product-p",
-         "matrix-blank-row", "inner-product-blank-entry", "matrix-ragged", "ks-csv"],
+         "inner-product-complex-p", "matrix-blank-row", "inner-product-blank-entry",
+         "matrix-ragged", "ks-csv"],
 )
 def test_sample_usage_errors_exit_before_numpy(argv):
     """Every input check runs before the sampler import, so a usage error
