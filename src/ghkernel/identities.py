@@ -103,8 +103,11 @@ class IdentityReport(Record):
 
 def relative_residual(lhs: Scalar, rhs: Scalar) -> float:
     """|lhs - rhs| / max(1, |lhs|, |rhs|) as a double."""
-    scale = max(1.0, magnitude(lhs), magnitude(rhs))
-    return magnitude(lhs - rhs) / scale
+    return _relative(lhs - rhs, lhs, rhs)
+
+
+def _relative(residual: Scalar, lhs: Scalar, rhs: Scalar) -> float:
+    return magnitude(residual) / max(1.0, magnitude(lhs), magnitude(rhs))
 
 
 def make_report(
@@ -126,12 +129,13 @@ def make_report(
     tol = DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
     if not 0 < tol < math.inf:
         raise ValueError("float mode needs a finite positive tolerance")
-    if relative_residual(lhs, rhs) <= tol:
-        return IdentityReport(identity, params, lhs, rhs, lhs - rhs, FLOAT, WITHIN_TOLERANCE)
+    residual = lhs - rhs
+    if _relative(residual, lhs, rhs) <= tol:
+        return IdentityReport(identity, params, lhs, rhs, residual, FLOAT, WITHIN_TOLERANCE)
     if not all(map(math.isfinite, (lhs.re, lhs.im, rhs.re, rhs.im))):
         point = ", ".join(f"{k}={v}" for k, v in params.items())
         raise ValueError(f"{identity} check at {point} overflows a double; use --mode exact")
-    return IdentityReport(identity, params, lhs, rhs, lhs - rhs, FLOAT, FAIL)
+    return IdentityReport(identity, params, lhs, rhs, residual, FLOAT, FAIL)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,20 @@ consecutive `standard_normal` calls continue one sequence, so the samples
 do not depend on the chunk size.  A sampler's memory is the result vector
 plus a fixed budget of temporaries, whatever the count, while a row draws
 at most `_CHUNK_NORMALS` normals; a wider row is a chunk of its own, and
-each of its temporaries takes 8 bytes per normal.  The matrix trace
-samplers are the inner-product ones on the flattened matrices at p = 1.
+each of its temporaries takes 8 bytes per normal.  The combines work in
+place on the chunk they are given, and sum rows narrower than numpy's
+pairwise width as left folds over the columns, numpy's own order there,
+so each sample is bit for bit that of the whole-array formula.  The
+matrix trace samplers are the inner-product ones on the flattened
+matrices at p = 1.
 
 Moments to order K must match within z combined standard errors (zero for
 an exact target), or within a rounding floor of a few ulps per order when
 that is wider; each verdict carries its z-score.  The statistics read the
 result vectors in chunks of the same budget: the moments and standard
 errors in two passes, and a two-sample Kolmogorov-Smirnov statistic, a
-secondary diagnostic, after sorting both vectors in place.  No scipy is
-needed.
+secondary diagnostic, after sorting both vectors in place; each point is
+then searched for only in the other sample.  No scipy is needed.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def _draw(
     One block of `count` rows per width, block b read from
     `stream.block(b)`.  The rows come in chunks of at most
     `_CHUNK_NORMALS` normals over all blocks; `combine` gets each block's
-    chunk as a (rows, width) array.
+    chunk as a fresh (rows, width) array, which it may overwrite.
     """
     blocks = [stream.block(b) for b in range(len(widths))]
     out = np.empty(count)
@@ -101,8 +105,30 @@ def _draw(
     return out
 
 
+# Row width from which numpy sums a row pairwise; below it `sum(axis=1)`
+# adds a row's entries left to right onto 0.0.
+_PAIRWISE_WIDTH = 8
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """`rows.sum(axis=1)` bit for bit, for a 2-D `rows`.
+
+    Below `_PAIRWISE_WIDTH` columns numpy runs its reduction loop once per
+    row; folding the columns onto zeros adds in the same order, one column
+    at a time.
+    """
+    if rows.shape[1] >= _PAIRWISE_WIDTH:
+        return rows.sum(axis=1)
+    total = np.zeros(rows.shape[0])
+    for column in rows.T:
+        total += column
+    return total
+
+
 def _squared_norms(normals: np.ndarray) -> np.ndarray:
-    return (normals * normals).sum(axis=1)
+    """Row sums of squares; squares `normals` in place."""
+    normals *= normals
+    return _row_sums(normals)
 
 
 def sample_gaussian(stream: RngStream, count: int) -> np.ndarray:
@@ -159,7 +185,13 @@ def inner_product_lhs_samples(
     root = math.sqrt(p)
 
     def combine(noise_x, noise_y):
-        return ((x + root * noise_x) * (y + root * noise_y)).sum(axis=1)
+        # ((x + root * noise_x) * (y + root * noise_y)).sum(axis=1), in place
+        noise_x *= root
+        noise_x += x
+        noise_y *= root
+        noise_y += y
+        noise_x *= noise_y
+        return _row_sums(noise_x)
 
     return _draw(stream, count, (x.size, x.size), combine)
 
@@ -185,8 +217,19 @@ def inner_product_rhs_samples(
     root = math.sqrt(p)
 
     def combine(first, second, chi, last):
-        z = np.sqrt(_squared_norms(chi))
-        return (x + root * first[:, 0]) * (y + root * second[:, 0]) + p * z * last[:, 0]
+        # (x + root * N1) * (y + root * M1) + p * Z * N, in place
+        product, factor = first[:, 0], second[:, 0]
+        product *= root
+        product += x
+        factor *= root
+        factor += y
+        product *= factor
+        z = _squared_norms(chi)
+        np.sqrt(z, out=z)
+        z *= p
+        z *= last[:, 0]
+        product += z
+        return product
 
     return _draw(stream, count, (1, 1, n - 1, 1), combine)
 
@@ -381,10 +424,15 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Secondary diagnostic: two-sample Kolmogorov-Smirnov (statistic, p).
 
     Sorts `a` and `b` in place.  The statistic is max |F_a - F_b| over
-    every point of both samples, with the empirical CDFs taken by
-    `searchsorted(..., side="right")` one chunk of points at a time, each
-    chunk searched only in the window of ranks it can reach.  That
-    is the arithmetic of `scipy.stats.ks_2samp`, whose statistic it equals
+    every point of both samples, with the empirical CDFs taken as
+    `searchsorted(..., side="right")` ranks over the sample size.  A point's
+    rank in its own sorted sample is the end of its run of equal values,
+    and its position plus one is that rank at the run's end and smaller
+    inside it.  F_a - F_b is largest at a point of `a` and F_b - F_a at a
+    point of `b`, and a smaller own rank only lowers them, so the own
+    ranks come from positions and only the other sample is searched: one
+    chunk of points at a time, each in the window of ranks it can reach.
+    That is the arithmetic of `scipy.stats.ks_2samp`, whose statistic it equals
     bit for bit when the larger sample exceeds 10,000 points; up to that
     size scipy rounds it to a multiple of 1 / lcm(n_a, n_b).  The p-value is
     the asymptotic Kolmogorov law with Stephens' correction,
@@ -396,11 +444,11 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     a.sort()
     b.sort()
     statistic = 0.0
-    for points in (a, b):
-        for lo, hi in _row_chunks(points.size, 1):
-            chunk = points[lo:hi]
-            gap = _right_ranks(a, chunk) / a.size
-            gap -= _right_ranks(b, chunk) / b.size
-            statistic = max(statistic, float(np.abs(gap).max()))
+    for own, other in ((a, b), (b, a)):
+        for lo, hi in _row_chunks(own.size, 1):
+            chunk = own[lo:hi]
+            gap = np.arange(lo + 1, hi + 1) / own.size
+            gap -= _right_ranks(other, chunk) / other.size
+            statistic = max(statistic, float(gap.max()))
     root = math.sqrt(a.size * b.size / (a.size + b.size))
     return statistic, _kolmogorov_sf((root + 0.12 + 0.11 / root) * statistic)

@@ -384,6 +384,68 @@ def test_ks_chunks_search_their_window(monkeypatch):
     assert statistic == float(np.abs(want).max())
 
 
+def _four_search_ks(a, b):
+    """The KS statistic with every point of both samples ranked in both
+    samples, four searches per pair of chunks: the reference that
+    `ks_two_sample`'s cross-sample ranks must reproduce bit for bit."""
+    a.sort()
+    b.sort()
+    statistic = 0.0
+    for points in (a, b):
+        for lo, hi in sampling._row_chunks(points.size, 1):
+            chunk = points[lo:hi]
+            gap = sampling._right_ranks(a, chunk) / a.size
+            gap -= sampling._right_ranks(b, chunk) / b.size
+            statistic = max(statistic, float(np.abs(gap).max()))
+    return statistic
+
+
+def _tied_samples(rng):
+    """Pairs of samples with long runs of equal values, some of them
+    shared, signed zeros, infinities and nans."""
+    ints = lambda low, high, size: rng.integers(low, high, size).astype(float)
+    return {
+        "few-values": (ints(0, 9, 300), ints(1, 12, 211)),
+        "one-value-each": (np.full(50, 2.0), np.full(37, 2.0)),
+        "disjoint": (ints(0, 3, 90), ints(5, 8, 120)),
+        "one-point": (np.array([4.0]), ints(0, 9, 64)),
+        "nested": (ints(3, 5, 200), ints(0, 9, 200)),
+        "signed-zeros": (rng.choice([-0.0, 0.0, 1.0], 150), rng.choice([-0.0, 0.0, -1.0], 170)),
+        "inf-and-nan": (
+            rng.choice([-np.inf, -1.0, 2.0, np.inf, np.nan], 120),
+            rng.choice([-np.inf, 2.0, 3.0, np.nan], 95),
+        ),
+    }
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_ks_matches_four_search_reference(monkeypatch, budget):
+    # Small chunks, so runs of equal values cross chunk edges in both samples.
+    monkeypatch.setattr(sampling, "_CHUNK_NORMALS", budget)
+    for name, (a, b) in _tied_samples(np.random.default_rng(budget)).items():
+        for first, second in ((a, b), (b, a)):
+            statistic, _ = ks_two_sample(first.copy(), second.copy())
+            want = _four_search_ks(first.copy(), second.copy())
+            assert statistic.hex() == want.hex(), (name, statistic, want)
+
+
+def test_ks_memory_does_not_grow_with_count():
+    peaks = {}
+    for count in (200_000, 1_000_000):
+        a = sample_gaussian(RngStream(3, 0), count)
+        b = sample_gaussian(RngStream(3, 1), count)
+        tracemalloc.start()
+        try:
+            ks_two_sample(a, b)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # A chunk's ranks and gaps: a few arrays of one chunk each.
+    bound = 4 * sampling._CHUNK_NORMALS * 8
+    assert max(peaks.values()) < bound, peaks
+    assert peaks[1_000_000] <= 1.25 * peaks[200_000], peaks
+
+
 def test_collect_stats_validation():
     with pytest.raises(ValueError):
         collect_stats(np.array([1.0]))
@@ -557,7 +619,8 @@ def test_sides_and_blocks_read_distinct_spawn_keys(monkeypatch):
 
     def spy(generator, count):
         normals = generator.standard_normal(count)
-        first.setdefault(generator.bit_generator.seed_seq.spawn_key, normals[:10])
+        # A copy: the combines overwrite the drawn chunk in place.
+        first.setdefault(generator.bit_generator.seed_seq.spawn_key, normals[:10].copy())
         return normals
 
     monkeypatch.setattr(sampling, "_box_muller", spy)
@@ -565,6 +628,32 @@ def test_sides_and_blocks_read_distinct_spawn_keys(monkeypatch):
     inner_product_rhs_samples(PAIR_3, 3, 0.7, RngStream(5, 1), 10)
     assert sorted(first) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3)]
     assert len({normals.tobytes() for normals in first.values()}) == 6
+
+
+def _special_rows(rng, count, width):
+    """Normals scaled over 24 decades with both signs, one entry in 20
+    replaced by a signed zero, an infinity or a nan, and the first rows
+    wholly -0.0 or holding opposite infinities."""
+    rows = rng.standard_normal((count, width)) * 10.0 ** rng.integers(-12, 13, (count, width))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    mask = rng.random((count, width)) < 0.05
+    rows[mask] = rng.choice(special, int(mask.sum()))
+    rows[:3] = -0.0
+    if width >= 2:
+        rows[3, :2] = (np.inf, -np.inf)
+    return rows
+
+
+@pytest.mark.parametrize("width", range(21))
+def test_row_sums_match_numpy_bit_for_bit(width):
+    # Both branches: columns folded below the pairwise width, numpy's own
+    # sum from it on.  A numpy that reorders narrow-row sums fails here.
+    rows = _special_rows(np.random.default_rng(width), 400, width)
+    with np.errstate(invalid="ignore"):
+        got = sampling._row_sums(rows)
+        want = rows.sum(axis=1)
+    assert got.shape == want.shape == (400,)
+    assert got.tobytes() == want.tobytes(), width
 
 
 def test_chi_sampling_memory_does_not_grow_with_dimension():
